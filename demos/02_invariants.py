@@ -10,7 +10,7 @@ the fiber-irreducibility comparison an equality.
 
 from pathlib import Path
 
-from linemono import invariant_report, load_arrangement
+from linemono import compute_combinatorics, invariant_report, load_arrangement
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,7 +20,7 @@ for name in (
     "weighted_triangle.json",
     "eight_line_normal_crossing.json",
 ):
-    rep = invariant_report(load_arrangement(FIXTURES / name))
+    rep = invariant_report(compute_combinatorics(load_arrangement(FIXTURES / name)))
     print(f"=== {name}")
     print(f"  chi(complement) = mu = {rep.mu}")
     print(f"  b1(general fiber) = {rep.b1_fiber}")

@@ -9,7 +9,15 @@ exhibit both directions.
 
 from pathlib import Path
 
-from linemono import LocalSystem, delta_f, compute_combinatorics, h1_upper_bound, load_arrangement
+from linemono import (
+    LocalSystem,
+    charpoly_infinity,
+    charpoly_zero_closed,
+    compute_combinatorics,
+    delta_f,
+    h1_upper_bound,
+    load_arrangement,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,8 +40,13 @@ print()
 
 triangle = load_arrangement(FIXTURES / "triangle.json")
 print("triangle with non-equimonodromical residues (1, 1, 2) at order 4:")
-report = h1_upper_bound(triangle, LocalSystem.create(4, [1, 1, 2]))
+ls = LocalSystem.create(4, [1, 1, 2])
+report = h1_upper_bound(triangle, ls)
 print(f"  N0 = {report.n0}, NInfinity = {report.n_infinity}, bound = {report.bound}")
+cs = compute_combinatorics(triangle)
+print(f"  same geometry, residues as weights: about zero "
+      f"{charpoly_zero_closed(cs, ls.residues)}, "
+      f"at infinity {charpoly_infinity(cs, ls.residues)}")
 print(f"  vertex sum at infinity unavailable (4 divides the total weight): "
       f"{report.vertex_sum_infinity}")
 print()

@@ -16,7 +16,6 @@ from .arrangement import (
     Vertex,
     WeightedArrangement,
     compute_combinatorics,
-    intersect,
     load_arrangement,
     parse_arrangement,
 )
@@ -34,6 +33,7 @@ from .census import (
 from .checks import CheckResult, battery_passed, run_battery
 from .errors import (
     BadGcd,
+    BadOrder,
     BadWeight,
     DuplicateLine,
     InfinityMonodromyTrivial,
@@ -47,15 +47,13 @@ from .errors import (
     TrivialMonodromy,
     WeightedNotSupported,
 )
-from .exact import GaussianRational, RootOfUnity, parse_coefficient, parse_rational
+from .exact import GaussianRational, RootOfUnity
 from .factored import (
     CyclotomicExponents,
     FactoredUnityPoly,
     cyclotomic_poly,
-    divisors,
     euler_phi,
     gcd_factored,
-    poly_mul,
 )
 from .invariants import (
     InvariantReport,
@@ -64,6 +62,7 @@ from .invariants import (
     infinity_singularity_mu,
     invariant_report,
     mu_arrangement,
+    numbers_identity,
 )
 from .localsys import (
     BoundReport,
@@ -90,6 +89,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadGcd",
+    "BadOrder",
     "BadWeight",
     "BoundReport",
     "CensusRow",
@@ -131,7 +131,6 @@ __all__ = [
     "compute_combinatorics",
     "cyclotomic_poly",
     "delta_f",
-    "divisors",
     "draw_arrangement",
     "euler_phi",
     "gcd_factored",
@@ -139,15 +138,12 @@ __all__ = [
     "genus_general_fiber",
     "h1_upper_bound",
     "infinity_singularity_mu",
-    "intersect",
     "invariant_report",
     "load_arrangement",
     "local_zeta",
     "mu_arrangement",
+    "numbers_identity",
     "parse_arrangement",
-    "parse_coefficient",
-    "parse_rational",
-    "poly_mul",
     "random_weights",
     "run_battery",
     "run_census",

@@ -15,15 +15,16 @@ Arrangement documents are JSON:
 
 COEF is an integer, a rational string "p" or "p/q", or an object
 {"re": RAT, "im": RAT} (components optional, default 0).  The weight "e"
-is an optional positive integer, default 1.  Floating-point literals are
-rejected outright.
+is an optional positive integer, default 1.  Floating-point literals and
+repeated keys in any object are rejected outright, and so is an integer
+literal longer than the interpreter's digit limit (4300 by default).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
@@ -87,11 +88,7 @@ class WeightedArrangement:
 
     @classmethod
     def build(cls, lines: list[Line], weights: list[int]) -> "WeightedArrangement":
-        if len(lines) != len(weights):
-            raise LengthMismatch(f"{len(lines)} lines but {len(weights)} weights")
-        for e in weights:
-            if type(e) is not int or e < 1:
-                raise BadWeight(f"weight must be a positive integer, got {e!r}")
+        _validated_weights(weights, len(lines))
         seen: dict[Line, int] = {}
         for i, line in enumerate(lines):
             if line in seen:
@@ -106,6 +103,25 @@ class WeightedArrangement:
         return cls(tuple(lines), tuple(weights))
 
 
+def _validated_weights(weights, d: int) -> tuple[int, ...]:
+    weights = tuple(weights)
+    if len(weights) != d:
+        raise LengthMismatch(f"{d} lines but {len(weights)} weights")
+    for e in weights:
+        if type(e) is not int or e < 1:
+            raise BadWeight(f"weight must be a positive integer, got {e!r}")
+    return weights
+
+
+def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    document: dict = {}
+    for key, value in pairs:
+        if key in document:
+            raise ParseError(f"duplicate key {key!r}")
+        document[key] = value
+    return document
+
+
 def _reject_float(text: str):
     raise ParseError(f"floating-point literal not allowed: {text}")
 
@@ -115,10 +131,15 @@ def parse_arrangement(document: str | bytes | dict) -> WeightedArrangement:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(
-                document, parse_float=_reject_float, parse_constant=_reject_float
+                document,
+                object_pairs_hook=_reject_duplicate_keys,
+                parse_float=_reject_float,
+                parse_constant=_reject_float,
             )
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer literal over the interpreter's digit limit
+            raise ParseError(f"integer literal: {exc}") from exc
     if not isinstance(document, dict):
         raise ParseError("document must be a JSON object")
     unknown = set(document) - {"lines"}
@@ -197,33 +218,13 @@ class CombinatorialSummary:
     def is_unweighted(self) -> bool:
         return all(e == 1 for e in self.weights)
 
-    def reweighted(self, weights) -> "CombinatorialSummary":
-        """Same geometry with a different weight vector.
+    def weight_vector(self, weights=None) -> tuple[int, ...]:
+        """`weights` checked against the geometry, or the arrangement's own.
 
-        The vertex set, incidences, direction classes, histogram and
-        per-line vertex counts are weight-independent; only the weight
-        sums change.  No gcd condition is imposed here: local-system
-        residues may share a common factor.
+        The geometry is weight-independent, so any positive integers of
+        length d will do; no gcd condition (residues may share a factor).
         """
-        weights = tuple(weights)
-        if len(weights) != self.d:
-            raise LengthMismatch(f"{self.d} lines but {len(weights)} weights")
-        for e in weights:
-            if type(e) is not int or e < 1:
-                raise BadWeight(f"weight must be a positive integer, got {e!r}")
-        return replace(
-            self,
-            d_e=sum(weights),
-            weights=weights,
-            vertices=tuple(
-                replace(v, weight_sum=sum(weights[i] for i in v.incident))
-                for v in self.vertices
-            ),
-            directions=tuple(
-                replace(g, weight_sum=sum(weights[i] for i in g.members))
-                for g in self.directions
-            ),
-        )
+        return self.weights if weights is None else _validated_weights(weights, self.d)
 
     def to_json(self) -> dict:
         return {

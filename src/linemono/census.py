@@ -151,11 +151,11 @@ def run_census(config: RunConfig) -> Iterator[CensusRow]:
     rng = SplitMix64(config.seed)
     for index in range(config.count):
         arr = draw_arrangement(rng, config.max_lines)
-        results = run_battery(arr)
+        cs = compute_combinatorics(arr)
+        results = run_battery(cs)
         if not battery_passed(results):
             failed = [r.name for r in results if not r.passed]
             raise InternalCheckError(f"draw {index} failed checks: {failed}")
-        cs = compute_combinatorics(arr)
         digest = tuple(line.coeff_string() for line in arr.lines)
         for order in range(2, config.max_order + 1):
             report = bound_from_summary(cs, LocalSystem.equimonodromical(order, arr.d))

@@ -1,20 +1,25 @@
 """Self-verification battery: the identities every valid arrangement satisfies.
 
 Each check recomputes both sides of an identity through independent code
-paths and compares exactly.  The battery runs in the `verify` command, on
-every census draw, and (with an injected summary) as a negative control
-in the tests.
+paths and compares exactly.  The battery takes a combinatorial summary:
+it runs in the `verify` command, on every census draw, and (on a doctored
+summary) as a negative control in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import CombinatorialSummary, WeightedArrangement, compute_combinatorics
+from .arrangement import CombinatorialSummary
 from .errors import InputError, InternalCheckError
 from .exact import RootOfUnity
 from .factored import FactoredUnityPoly
-from .invariants import betti1_general_fiber, genus_general_fiber, mu_arrangement
+from .invariants import (
+    betti1_general_fiber,
+    genus_general_fiber,
+    mu_arrangement,
+    numbers_identity,
+)
 from .monodromy import (
     charpoly_infinity,
     charpoly_zero_closed,
@@ -37,11 +42,8 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, passed, "" if passed else detail)
 
 
-def run_battery(
-    arr: WeightedArrangement, summary: CombinatorialSummary | None = None
-) -> list[CheckResult]:
-    """Run every identity check; pass a doctored summary to provoke failures."""
-    cs = compute_combinatorics(arr) if summary is None else summary
+def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
+    """Run every identity check on the summary; a doctored one provokes failures."""
     results: list[CheckResult] = []
 
     incidence = sum(v.multiplicity for v in cs.vertices)
@@ -67,8 +69,8 @@ def run_battery(
         )
     )
 
+    d_zero = charpoly_zero_closed(cs)
     try:
-        d_zero = charpoly_zero_closed(cs)
         d_inf = charpoly_infinity(cs)
         b1 = betti1_general_fiber(cs)
         results.append(
@@ -106,8 +108,7 @@ def run_battery(
     except (InputError, InternalCheckError) as exc:
         results.append(_check("charpoly-computable", False, str(exc)))
 
-    lhs = 1 - cs.d + sum(n * (m - 1) * m for m, n in cs.histogram.items())
-    rhs = (cs.d - 1) ** 2 - sum(g.count * (g.count - 1) for g in cs.directions)
+    lhs, rhs = numbers_identity(cs)
     results.append(
         _check("numbers-identity", lhs == rhs, f"vertex side {lhs}, direction side {rhs}")
     )
@@ -130,9 +131,8 @@ def run_battery(
         results.append(
             _check(
                 "unweighted-specialization",
-                reduced_form.to_cyclotomic() == charpoly_zero_closed(cs).to_cyclotomic(),
-                f"vertex-histogram form {reduced_form}, line-vertex form "
-                f"{charpoly_zero_closed(cs)}",
+                reduced_form.to_cyclotomic() == d_zero.to_cyclotomic(),
+                f"vertex-histogram form {reduced_form}, line-vertex form {d_zero}",
             )
         )
         try:

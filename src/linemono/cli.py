@@ -30,19 +30,18 @@ def _emit_row(payload: dict, stream) -> None:
 
 
 def cmd_info(path: str) -> int:
-    arr = load_arrangement(path)
-    report = invariant_report(arr)
+    cs = compute_combinatorics(load_arrangement(path))
+    report = invariant_report(cs)
     if not report.numbers_identity_holds:
         raise InternalCheckError("numerical-data identity failed")
     payload = report.to_json()
-    payload["combinatorics"] = compute_combinatorics(arr).to_json()
+    payload["combinatorics"] = cs.to_json()
     _emit(payload)
     return 0
 
 
 def cmd_charpoly(path: str, at: str, expand: bool) -> int:
-    arr = load_arrangement(path)
-    cs = compute_combinatorics(arr)
+    cs = compute_combinatorics(load_arrangement(path))
     poly = charpoly_infinity(cs) if at == "infinity" else charpoly_zero_closed(cs)
     payload: dict = {"at": at, "degree": poly.degree(), "factors": poly.to_json()}
     if expand:
@@ -52,8 +51,7 @@ def cmd_charpoly(path: str, at: str, expand: bool) -> int:
 
 
 def cmd_zeta(path: str) -> int:
-    arr = load_arrangement(path)
-    _emit(zeta_at_zero(compute_combinatorics(arr)).to_json())
+    _emit(zeta_at_zero(compute_combinatorics(load_arrangement(path))).to_json())
     return 0
 
 
@@ -72,11 +70,10 @@ def cmd_bound(path: str, order: int, residues: list[int] | None) -> int:
 
 def cmd_verify(path: str, summary_hook=None) -> int:
     """Run the identity battery; summary_hook is a test-only summary doctor."""
-    arr = load_arrangement(path)
-    summary = compute_combinatorics(arr)
+    summary = compute_combinatorics(load_arrangement(path))
     if summary_hook is not None:
         summary = summary_hook(summary)
-    results = run_battery(arr, summary)
+    results = run_battery(summary)
     _emit(
         {
             "allPassed": battery_passed(results),

@@ -62,5 +62,9 @@ class LengthMismatch(InputError):
     """Residue list length differs from the number of lines."""
 
 
+class BadOrder(InputError, ValueError):
+    """A local-system order is not a positive integer."""
+
+
 class InternalCheckError(Exception):
     """An internal cross-identity failed; this is a bug, not bad input."""

@@ -31,11 +31,13 @@ def parse_rational(value) -> Fraction:
         if not _RATIONAL_RE.match(text):
             raise ParseError(f"not an exact rational literal: {value!r}")
         num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ParseError(f"zero denominator: {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:  # only digits get here: over the digit limit
+            raise ParseError(f"integer literal: {exc}") from exc
+        if den == 0:
+            raise ParseError(f"zero denominator: {value!r}")
+        return Fraction(num, den)
     raise ParseError(f"expected an integer or 'p/q' string, got {value!r}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import CombinatorialSummary, WeightedArrangement, compute_combinatorics
+from .arrangement import CombinatorialSummary
 from .errors import InternalCheckError, WeightedNotSupported
 
 
@@ -31,12 +31,22 @@ def mu_arrangement(cs: CombinatorialSummary) -> int:
     return 1 - cs.d + sum(n * (m - 1) for m, n in cs.histogram.items())
 
 
-def betti1_general_fiber(cs: CombinatorialSummary) -> int:
-    """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j."""
-    value = 1 + cs.d_e * (cs.d - 1) - sum(g.weight_sum * g.count for g in cs.directions)
-    if cs.is_unweighted:
+def numbers_identity(cs: CombinatorialSummary) -> tuple[int, int]:
+    """(vertex side, direction side); equal on every arrangement, b_1 if unweighted."""
+    vertex_side = 1 - cs.d + sum(n * (m - 1) * m for m, n in cs.histogram.items())
+    direction_side = (cs.d - 1) ** 2 - sum(g.count * (g.count - 1) for g in cs.directions)
+    return vertex_side, direction_side
+
+
+def betti1_general_fiber(cs: CombinatorialSummary, weights=None) -> int:
+    """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j, sums over `weights`."""
+    weights = cs.weight_vector(weights)
+    value = 1 + sum(weights) * (cs.d - 1) - sum(
+        sum(weights[i] for i in g.members) * g.count for g in cs.directions
+    )
+    if all(e == 1 for e in weights):
         # Vertex-side expression must agree in the reduced case.
-        alt = 1 - cs.d + sum(n * (m - 1) * m for m, n in cs.histogram.items())
+        alt, _ = numbers_identity(cs)
         if alt != value:
             raise InternalCheckError(
                 f"general-fiber b1 mismatch: {value} (directions) vs {alt} (vertices)"
@@ -93,7 +103,7 @@ class InvariantReport:
         }
 
 
-def invariant_report(arr: WeightedArrangement) -> InvariantReport:
+def invariant_report(cs: CombinatorialSummary) -> InvariantReport:
     """Aggregate every closed-form invariant with its cross-checks.
 
     The dicritic count is sum_j k_j = d.  The Kaliman comparison reports
@@ -101,13 +111,11 @@ def invariant_report(arr: WeightedArrangement) -> InvariantReport:
     zero fiber has d components and every other fiber is irreducible, so
     both sides equal d - 1.
     """
-    cs = compute_combinatorics(arr)
     mu = mu_arrangement(cs)
     dicritics = sum(g.count for g in cs.directions)
     if dicritics != cs.d:
         raise InternalCheckError("direction classes do not partition the lines")
-    lhs = 1 - cs.d + sum(n * (m - 1) * m for m, n in cs.histogram.items())
-    rhs = (cs.d - 1) ** 2 - sum(g.count * (g.count - 1) for g in cs.directions)
+    lhs, rhs = numbers_identity(cs)
     return InvariantReport(
         mu=mu,
         chi_complement=mu,

@@ -20,6 +20,7 @@ from math import gcd, lcm
 
 from .arrangement import CombinatorialSummary, WeightedArrangement, compute_combinatorics
 from .errors import (
+    BadOrder,
     InfinityMonodromyTrivial,
     InternalCheckError,
     LengthMismatch,
@@ -40,7 +41,7 @@ class LocalSystem:
     def __post_init__(self):
         object.__setattr__(self, "residues", tuple(self.residues))
         if type(self.order) is not int or self.order < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order!r}")
+            raise BadOrder(f"order must be a positive integer, got {self.order!r}")
         if not self.residues:
             raise ValueError("residue list must be non-empty")
         for r in self.residues:
@@ -62,7 +63,7 @@ class LocalSystem:
         operations refuse.
         """
         if type(order) is not int or order < 1:
-            raise ValueError(f"order must be a positive integer, got {order!r}")
+            raise BadOrder(f"order must be a positive integer, got {order!r}")
         residues = tuple(residues)
         if not residues:
             raise ValueError("residue list must be non-empty")
@@ -118,13 +119,12 @@ def canonical_local_system(monodromies, strict: bool = True) -> LocalSystem:
     )
 
 
-def _require_nontrivial(cs: CombinatorialSummary, ls: LocalSystem) -> CombinatorialSummary:
+def _require_nontrivial(cs: CombinatorialSummary, ls: LocalSystem) -> None:
     if len(ls.residues) != cs.d:
         raise LengthMismatch(f"{cs.d} lines but {len(ls.residues)} residues")
     if ls.has_trivial:
         trivial = [i for i, r in enumerate(ls.residues) if r % ls.order == 0]
         raise TrivialMonodromy(f"monodromy is 1 on lines {trivial or 'all'}")
-    return cs.reweighted(ls.residues)
 
 
 def vertex_mult_zero(cs: CombinatorialSummary, ls: LocalSystem) -> int:
@@ -133,27 +133,30 @@ def vertex_mult_zero(cs: CombinatorialSummary, ls: LocalSystem) -> int:
     This is the multiplicity of exp(2*pi*i/N) in the characteristic
     polynomial about zero built with weights equal to the residues.
     """
-    cs = _require_nontrivial(cs, ls)
+    _require_nontrivial(cs, ls)
     return sum(
-        v.multiplicity - 2 for v in cs.vertices if v.weight_sum % ls.order == 0
+        v.multiplicity - 2
+        for v in cs.vertices
+        if sum(ls.residues[i] for i in v.incident) % ls.order == 0
     )
 
 
 def vertex_mult_infinity(cs: CombinatorialSummary, ls: LocalSystem) -> int:
     """sum (k_j - 1) over direction classes with d_e - d_j divisible by the order.
 
-    Requires the monodromy about the line at infinity to be nontrivial
-    (order not dividing the total residue sum); otherwise the sum misses
-    the (t^{d_e} - 1)^{p-2} contribution and the polynomial multiplicity
-    is the only honest answer.
+    d_e and d_j are residue sums.  Requires the monodromy about the line
+    at infinity to be nontrivial (order not dividing the total residue
+    sum); otherwise the sum misses the (t^{d_e} - 1)^{p-2} contribution
+    and the polynomial multiplicity is the only honest answer.
     """
-    cs = _require_nontrivial(cs, ls)
-    if cs.d_e % ls.order == 0:
-        raise InfinityMonodromyTrivial(
-            f"order {ls.order} divides total weight {cs.d_e}"
-        )
+    _require_nontrivial(cs, ls)
+    d_e = sum(ls.residues)
+    if d_e % ls.order == 0:
+        raise InfinityMonodromyTrivial(f"order {ls.order} divides total weight {d_e}")
     return sum(
-        g.count - 1 for g in cs.directions if (cs.d_e - g.weight_sum) % ls.order == 0
+        g.count - 1
+        for g in cs.directions
+        if (d_e - sum(ls.residues[i] for i in g.members)) % ls.order == 0
     )
 
 
@@ -184,16 +187,16 @@ class BoundReport:
 
 
 def bound_from_summary(cs: CombinatorialSummary, ls: LocalSystem) -> BoundReport:
-    """Bound computation on a precomputed summary (geometry reweighted here)."""
-    weighted = _require_nontrivial(cs, ls)
+    """Bound computation on a precomputed summary, with the residues as weights."""
+    _require_nontrivial(cs, ls)
     a = ls.eigenvalue()
-    n0 = charpoly_zero_closed(weighted).root_multiplicity(a)
-    n_inf = charpoly_infinity(weighted).root_multiplicity(a)
+    n0 = charpoly_zero_closed(cs, ls.residues).root_multiplicity(a)
+    n_inf = charpoly_infinity(cs, ls.residues).root_multiplicity(a)
 
     vsz = vertex_mult_zero(cs, ls)
     if vsz != n0:
         raise InternalCheckError(f"vertex sum {vsz} != polynomial multiplicity {n0}")
-    if weighted.d_e % ls.order == 0:
+    if sum(ls.residues) % ls.order == 0:
         vsi = None
     else:
         vsi = vertex_mult_infinity(cs, ls)
@@ -211,7 +214,7 @@ def bound_from_summary(cs: CombinatorialSummary, ls: LocalSystem) -> BoundReport
         vertex_sum_infinity=vsi,
         all_lambda_nontrivial=True,
         normal_crossing_shortcut=not any(
-            v.weight_sum % ls.order == 0 for v in weighted.vertices
+            sum(ls.residues[i] for i in v.incident) % ls.order == 0 for v in cs.vertices
         ),
     )
 

@@ -25,31 +25,34 @@ from .errors import NotEssential, NotPolynomial
 from .factored import FactoredUnityPoly
 
 
-def charpoly_infinity(cs: CombinatorialSummary) -> FactoredUnityPoly:
+def charpoly_infinity(cs: CombinatorialSummary, weights=None) -> FactoredUnityPoly:
     """Characteristic polynomial of the monodromy at infinity.
 
     (t - 1) (t^{d_e} - 1)^{p-2} prod_j (t^{d_e - d_j} - 1)^{k_j - 1},
-    of degree b_1 of the general fiber.
+    of degree b_1 of the general fiber.  d_e and the class sums d_j are
+    taken over `weights` (default: the arrangement's own weights).
     """
     if cs.p < 2:
         raise NotEssential("monodromy at infinity needs two direction classes")
-    factors = [(1, 1), (cs.d_e, cs.p - 2)]
-    factors += [(cs.d_e - g.weight_sum, g.count - 1) for g in cs.directions]
+    weights = cs.weight_vector(weights)
+    d_e = sum(weights)
+    factors = [(1, 1), (d_e, cs.p - 2)]
+    factors += [(d_e - sum(weights[i] for i in g.members), g.count - 1) for g in cs.directions]
     return FactoredUnityPoly(factors)
 
 
-def charpoly_zero_closed(cs: CombinatorialSummary) -> FactoredUnityPoly:
+def charpoly_zero_closed(cs: CombinatorialSummary, weights=None) -> FactoredUnityPoly:
     """Characteristic polynomial of the monodromy about the zero fiber.
 
     (t - 1) prod_lines (t^{e_j} - 1)^{v_j - 1}
-            prod_vertices (t^{d(I_v)} - 1)^{m_v - 2}.
+            prod_vertices (t^{d(I_v)} - 1)^{m_v - 2},
+    with e_j the entries of `weights` (default: the arrangement's own
+    weights) and d(I_v) their sums over the lines through v.
     """
+    weights = cs.weight_vector(weights)
     factors = [(1, 1)]
-    factors += [
-        (e, count - 1)
-        for e, count in zip(cs.weights, cs.line_vertex_counts)
-    ]
-    factors += [(v.weight_sum, v.multiplicity - 2) for v in cs.vertices]
+    factors += [(e, count - 1) for e, count in zip(weights, cs.line_vertex_counts)]
+    factors += [(sum(weights[i] for i in v.incident), v.multiplicity - 2) for v in cs.vertices]
     return FactoredUnityPoly(factors)
 
 

@@ -209,6 +209,10 @@ def brute_combinatorics(lines, weights=None):
             direction: sum(weights[i] for i in members)
             for direction, members in direction_classes.items()
         },
+        "class_members": {
+            direction: sorted(members)
+            for direction, members in direction_classes.items()
+        },
         "line_vertex_counts": [
             sum(1 for incident in points.values() if i in incident) for i in range(d)
         ],

@@ -144,7 +144,7 @@ def test_criterion_5_zeta_agreement():
 def test_criterion_6_fixture_values():
     triangle = arrangement(TRIANGLE)
     cs = compute_combinatorics(triangle)
-    rep = invariant_report(triangle)
+    rep = invariant_report(cs)
     assert (rep.mu, rep.b1_fiber, rep.genus) == (1, 4, 1)
     assert charpoly_infinity(cs).factors == {1: 1, 3: 1}
     assert charpoly_zero_closed(cs).factors == {1: 4}
@@ -156,7 +156,7 @@ def test_criterion_6_fixture_values():
 
     axes = arrangement(TWO_AXES)
     cs = compute_combinatorics(axes)
-    rep = invariant_report(axes)
+    rep = invariant_report(cs)
     assert (rep.mu, rep.b1_fiber) == (0, 1)
     assert charpoly_infinity(cs).factors == {1: 1}
     assert charpoly_zero_closed(cs).factors == {1: 1}

@@ -117,6 +117,26 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_arrangement(document)
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"lines": [{"a": 1, "b": 0, "c": 0}, {"a": 0, "b": 1, "c": 0}],'
+            ' "lines": [{"a": 1, "b": 0, "c": 0}, {"a": 0, "b": 1, "c": 1}]}',
+            '{"lines": [{"a": 1, "b": 0, "c": 0, "c": 5}, {"a": 0, "b": 1, "c": 0}]}',
+            '{"lines": [{"a": {"re": 1, "re": 2}, "b": 0, "c": 0}, {"a": 0, "b": 1, "c": 0}]}',
+        ],
+    )
+    def test_duplicate_keys_rejected(self, document):
+        with pytest.raises(ParseError, match="duplicate key"):
+            parse_arrangement(document)
+
+    @pytest.mark.parametrize("literal", ['"1%s"', '1%s', '"1/1%s"', '{"im": "-1%s"}'])
+    def test_literal_over_digit_limit(self, literal):
+        big = literal % ("0" * 5000)
+        document = '{"lines": [{"a": 1, "b": 0, "c": %s}, {"a": 0, "b": 1, "c": 0}]}' % big
+        with pytest.raises(ParseError, match="digits"):
+            parse_arrangement(document)
+
 
 class TestCombinatorics:
     def test_triangle_against_brute_force(self, triangle):
@@ -191,15 +211,6 @@ class TestCombinatorics:
         cs = compute_combinatorics(triangle)
         keys = [(*v.point[0].sort_key(), *v.point[1].sort_key()) for v in cs.vertices]
         assert keys == sorted(keys)
-
-    def test_reweighted_keeps_geometry(self, triangle):
-        cs = compute_combinatorics(triangle)
-        re = cs.reweighted((1, 1, 2))
-        assert re.d_e == 4
-        assert re.histogram == cs.histogram
-        assert re.line_vertex_counts == cs.line_vertex_counts
-        assert [v.point for v in re.vertices] == [v.point for v in cs.vertices]
-        assert sorted(v.weight_sum for v in re.vertices) == [2, 3, 3]
 
 
 DIRECTION_POOL = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 3)]

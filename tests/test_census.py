@@ -8,6 +8,7 @@ from linemono import (
     RunConfig,
     SplitMix64,
     battery_passed,
+    compute_combinatorics,
     generate_arrangements,
     random_weights,
     run_battery,
@@ -67,7 +68,7 @@ class TestGenerator:
 
     def test_battery_passes_on_draws(self):
         for arr in generate_arrangements(7, 25, 8):
-            assert battery_passed(run_battery(arr))
+            assert battery_passed(run_battery(compute_combinatorics(arr)))
 
     def test_random_weights_gcd_one(self):
         rng = SplitMix64(11)

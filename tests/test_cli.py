@@ -68,6 +68,28 @@ class TestInfo:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "DuplicateLine"
 
+    @pytest.mark.parametrize("literal", ['"1%s"', "1%s"])
+    def test_literal_over_digit_limit(self, capsys, tmp_path, literal):
+        path = tmp_path / "big.json"
+        big = literal % ("0" * 5000)
+        path.write_text(
+            '{"lines": [{"a": 1, "b": 0, "c": %s}, {"a": 0, "b": 1, "c": 0}]}' % big
+        )
+        assert main(["info", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ParseError"
+        assert "digits" in payload["message"]
+
+    def test_duplicate_key_error(self, capsys, tmp_path):
+        path = tmp_path / "dupkey.json"
+        path.write_text(
+            '{"lines": [{"a": 1, "b": 0, "c": 0, "c": 5}, {"a": 0, "b": 1, "c": 0}]}'
+        )
+        assert main(["info", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ParseError"
+        assert "duplicate key 'c'" in payload["message"]
+
     def test_missing_file(self, capsys):
         assert main(["info", "/nonexistent/arr.json"]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -126,6 +148,12 @@ class TestBound:
         assert main(["bound", triangle_file, "--order", "3", "--residues", "1,1"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "LengthMismatch"
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_bad_order_exit_code(self, capsys, triangle_file, order):
+        assert main(["bound", triangle_file, "--order", order]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "BadOrder"
 
     def test_shared_factor_note(self, capsys, triangle_file):
         assert main(["bound", triangle_file, "--order", "3", "--residues", "2,2,2"]) == 0
@@ -222,3 +250,47 @@ class TestSubprocessEntryPoint:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"] == "NotEssential"
+
+
+@pytest.fixture
+def combinatorics_calls(monkeypatch):
+    """Count compute_combinatorics calls made through any module's binding."""
+    import linemono.arrangement
+
+    original = linemono.arrangement.compute_combinatorics
+    calls = []
+
+    def counted(arr):
+        calls.append(arr)
+        return original(arr)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "compute_combinatorics", None)
+        if name.split(".")[0] == "linemono" and bound is original:
+            monkeypatch.setattr(module, "compute_combinatorics", counted)
+    return calls
+
+
+class TestOneGeometryPass:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["info"],
+            ["charpoly", "--at", "zero"],
+            ["charpoly", "--at", "infinity", "--expand"],
+            ["zeta"],
+            ["bound", "--order", "3"],
+            ["verify"],
+        ],
+    )
+    def test_once_per_command(self, capsys, combinatorics_calls, command):
+        for fixture in sorted(FIXTURES.glob("*.json")):
+            combinatorics_calls.clear()
+            assert main([command[0], str(fixture), *command[1:]]) == 0
+            assert len(combinatorics_calls) == 1, (command, fixture.name)
+        capsys.readouterr()
+
+    def test_once_per_census_draw(self, capsys, combinatorics_calls):
+        assert main(["census", "--seed", "1", "--count", "20"]) == 0
+        assert len(combinatorics_calls) == 20
+        capsys.readouterr()

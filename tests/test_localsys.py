@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linemono import (
+    BadOrder,
     InfinityMonodromyTrivial,
     LengthMismatch,
     LocalSystem,
@@ -60,6 +61,14 @@ class TestCanonicalLocalSystem:
         ls = LocalSystem.create(6, [2, 4])
         assert ls.order == 3
         assert ls.residues == (1, 2)
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_bad_order_is_typed(self, order):
+        assert issubclass(BadOrder, ValueError)
+        with pytest.raises(BadOrder):
+            LocalSystem.create(order, [1, 1])
+        with pytest.raises(BadOrder):
+            LocalSystem(order, (1, 1))
 
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
@@ -203,14 +212,13 @@ class TestAgreementProperties:
         if ls.has_trivial:
             return
         cs = compute_combinatorics(arr)
-        weighted = cs.reweighted(ls.residues)
         a = ls.eigenvalue()
         assert vertex_mult_zero(cs, ls) == charpoly_zero_closed(
-            weighted
+            cs, ls.residues
         ).root_multiplicity(a)
-        if weighted.d_e % ls.order != 0:
+        if sum(ls.residues) % ls.order != 0:
             assert vertex_mult_infinity(cs, ls) == charpoly_infinity(
-                weighted
+                cs, ls.residues
             ).root_multiplicity(a)
 
     @given(arrangement_specs, st.integers(0, 10))

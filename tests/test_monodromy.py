@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linemono import (
+    BadWeight,
     FactoredUnityPoly,
+    LengthMismatch,
     RootOfUnity,
     StratumDescriptor,
     betti1_general_fiber,
@@ -20,8 +22,8 @@ from linemono import (
     zeta_at_zero,
 )
 
-from _oracles import expand_factored, root_multiplicity
-from test_arrangement import arrangement_specs, build_arrangement
+from _oracles import brute_combinatorics, expand_factored, root_multiplicity
+from test_arrangement import DIRECTION_POOL, arrangement_specs, build_arrangement
 
 
 class TestCharpolyInfinity:
@@ -176,6 +178,62 @@ class TestIdentities:
         cs = compute_combinatorics(build_arrangement(specs))
         assert not charpoly_zero_closed(cs).has_negative_exponent()
         assert not charpoly_infinity(cs).has_negative_exponent()
+
+
+def merged(factors):
+    """{m: c} with repeated indices summed and zero exponents dropped."""
+    out = {}
+    for m, c in factors:
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+class TestWeightArgument:
+    @given(arrangement_specs, st.lists(st.integers(1, 9), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_formulas_against_brute_force(self, specs, raw_weights):
+        """Any positive weights on fixed geometry, gcd not required."""
+        cs = compute_combinatorics(build_arrangement(specs))
+        weights = raw_weights[: cs.d]
+        raw = [(*DIRECTION_POOL[idx], offset) for idx, offset in specs]
+        oracle = brute_combinatorics(raw, weights)
+        d_e = oracle["d_e"]
+
+        zero = [(1, 1)]
+        zero += [(e, v - 1) for e, v in zip(weights, oracle["line_vertex_counts"])]
+        zero += [
+            (oracle["vertex_weight_sums"][point], len(incident) - 2)
+            for point, incident in oracle["vertices"].items()
+        ]
+        assert charpoly_zero_closed(cs, weights).factors == merged(zero)
+
+        infinity = [(1, 1), (d_e, oracle["p"] - 2)]
+        infinity += [
+            (d_e - oracle["class_weights"][direction], len(members) - 1)
+            for direction, members in oracle["class_members"].items()
+        ]
+        assert charpoly_infinity(cs, weights).factors == merged(infinity)
+
+    def test_default_is_the_arrangements_own_weights(self, weighted_triangle):
+        cs = compute_combinatorics(weighted_triangle)
+        assert charpoly_zero_closed(cs, (1, 1, 2)) == charpoly_zero_closed(cs)
+        assert charpoly_infinity(cs, [1, 1, 2]) == charpoly_infinity(cs)
+        assert betti1_general_fiber(cs, (1, 1, 2)) == betti1_general_fiber(cs) == 5
+
+    def test_weights_change_only_the_weighted_factors(self, triangle):
+        cs = compute_combinatorics(triangle)
+        assert charpoly_zero_closed(cs, (1, 1, 2)).factors == {1: 3, 2: 1}
+        assert charpoly_infinity(cs, (2, 2, 2)).factors == {1: 1, 6: 1}
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [((1, 1), LengthMismatch), ((1, 0, 1), BadWeight), ((1, -2, 1), BadWeight)],
+    )
+    def test_bad_weight_vectors(self, triangle, weights, error):
+        cs = compute_combinatorics(triangle)
+        for formula in (charpoly_zero_closed, charpoly_infinity, betti1_general_fiber):
+            with pytest.raises(error):
+                formula(cs, weights)
 
 
 class TestAgainstDenseOracle:
