@@ -23,17 +23,16 @@ from .census import (
     DIRECTIONS,
     CensusRow,
     RunConfig,
-    SplitMix64,
     draw_arrangement,
-    generate_arrangements,
-    random_weights,
     run_census,
     summarize,
 )
 from .checks import CheckResult, battery_passed, run_battery
 from .errors import (
     BadGcd,
+    BadMonodromy,
     BadOrder,
+    BadResidues,
     BadWeight,
     DuplicateLine,
     InfinityMonodromyTrivial,
@@ -52,7 +51,6 @@ from .factored import (
     CyclotomicExponents,
     FactoredUnityPoly,
     cyclotomic_poly,
-    euler_phi,
     gcd_factored,
 )
 from .invariants import (
@@ -75,7 +73,6 @@ from .localsys import (
     vertex_mult_zero,
 )
 from .monodromy import (
-    StratumDescriptor,
     ZetaFunction,
     charpoly_infinity,
     charpoly_zero_closed,
@@ -89,7 +86,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadGcd",
+    "BadMonodromy",
     "BadOrder",
+    "BadResidues",
     "BadWeight",
     "BoundReport",
     "CensusRow",
@@ -114,8 +113,6 @@ __all__ = [
     "ParseError",
     "RootOfUnity",
     "RunConfig",
-    "SplitMix64",
-    "StratumDescriptor",
     "TrivialMonodromy",
     "Vertex",
     "WeightedArrangement",
@@ -132,9 +129,7 @@ __all__ = [
     "cyclotomic_poly",
     "delta_f",
     "draw_arrangement",
-    "euler_phi",
     "gcd_factored",
-    "generate_arrangements",
     "genus_general_fiber",
     "h1_upper_bound",
     "infinity_singularity_mu",
@@ -144,7 +139,6 @@ __all__ = [
     "mu_arrangement",
     "numbers_identity",
     "parse_arrangement",
-    "random_weights",
     "run_battery",
     "run_census",
     "strata",

@@ -9,6 +9,13 @@ classes (the points at infinity, kept purely combinatorial), the vertex
 multiplicity histogram and per-line vertex counts.  No epsilon appears
 anywhere; coincidence of intersection points is exact.
 
+Vertices are grouped in integer arithmetic: each line is scaled once to
+Gaussian integers A x + B y + C = 0, and two lines with Z = A1 B2 - A2 B1
+!= 0 meet at (X/Z, Y/Z), X = C2 B1 - C1 B2, Y = C1 A2 - C2 A1.  The key
+(X conj(Z), Y conj(Z), |Z|^2), five integers over their gcd, is the same
+for every pair through a point since |Z|^2 > 0.  Fractions are built once
+per vertex; vertices sort on integer floors of their scaled coordinates.
+
 Arrangement documents are JSON:
 
     {"lines": [{"a": COEF, "b": COEF, "c": COEF, "e": INT?}, ...]}
@@ -25,8 +32,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
+from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 
 from .errors import (
     BadGcd,
@@ -40,7 +48,7 @@ from .errors import (
 from .exact import GaussianRational, parse_coefficient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     """a*x + b*y + c = 0 in canonical form."""
 
@@ -81,10 +89,6 @@ class WeightedArrangement:
     @property
     def d(self) -> int:
         return len(self.lines)
-
-    @property
-    def is_unweighted(self) -> bool:
-        return all(e == 1 for e in self.weights)
 
     @classmethod
     def build(cls, lines: list[Line], weights: list[int]) -> "WeightedArrangement":
@@ -178,7 +182,7 @@ def load_arrangement(path) -> WeightedArrangement:
         return parse_arrangement(handle.read())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """An intersection point with its incident lines and weight sum."""
 
@@ -188,7 +192,7 @@ class Vertex:
     weight_sum: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectionClass:
     """A maximal parallel class; combinatorial stand-in for a point at infinity."""
 
@@ -255,14 +259,11 @@ class CombinatorialSummary:
         }
 
 
-def intersect(p: Line, q: Line) -> tuple[GaussianRational, GaussianRational] | None:
-    """Exact intersection point, or None for parallel lines."""
-    det = p.a * q.b - q.a * p.b
-    if det.is_zero:
-        return None
-    x = (q.c * p.b - p.c * q.b) / det
-    y = (p.c * q.a - q.c * p.a) / det
-    return (x, y)
+def _gaussian_integer_triple(line: Line) -> tuple[int, ...]:
+    """(Re A, Im A, Re B, Im B, Re C, Im C) of the line scaled to integers."""
+    parts = (line.a.re, line.a.im, line.b.re, line.b.im, line.c.re, line.c.im)
+    scale = lcm(*(q.denominator for q in parts))
+    return tuple(q.numerator * (scale // q.denominator) for q in parts)
 
 
 def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
@@ -273,25 +274,48 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     """
     d = arr.d
     weights = arr.weights
+    triples = [_gaussian_integer_triple(line) for line in arr.lines]
 
-    points: dict[tuple[GaussianRational, GaussianRational], set[int]] = {}
-    for i, j in combinations(range(d), 2):
-        point = intersect(arr.lines[i], arr.lines[j])
-        if point is not None:
-            points.setdefault(point, set()).update((i, j))
+    # Key: (X conj(Z), Y conj(Z), |Z|^2) over their gcd (module docstring).
+    points: dict[tuple[int, int, int, int, int], set[int]] = {}
+    for i, (ar1, ai1, br1, bi1, cr1, ci1) in enumerate(triples):
+        for j in range(i + 1, d):
+            ar2, ai2, br2, bi2, cr2, ci2 = triples[j]
+            zr = ar1 * br2 - ai1 * bi2 - ar2 * br1 + ai2 * bi1
+            zi = ar1 * bi2 + ai1 * br2 - ar2 * bi1 - ai2 * br1
+            if not (zr or zi):
+                continue
+            xr = cr2 * br1 - ci2 * bi1 - cr1 * br2 + ci1 * bi2
+            xi = cr2 * bi1 + ci2 * br1 - cr1 * bi2 - ci1 * br2
+            yr = cr1 * ar2 - ci1 * ai2 - cr2 * ar1 + ci2 * ai1
+            yi = cr1 * ai2 + ci1 * ar2 - cr2 * ai1 - ci2 * ar1
+            key = (xr * zr + xi * zi, xi * zr - xr * zi,
+                   yr * zr + yi * zi, yi * zr - yr * zi, zr * zr + zi * zi)
+            g = gcd(*key)
+            if g != 1:
+                key = tuple(k // g for k in key)
+            points.setdefault(key, set()).update((i, j))
 
-    def point_key(item):
-        (x, y), _ = item
-        return (*x.sort_key(), *y.sort_key())
+    # Distinct coordinates p/n != q/m differ by at least 1/(n m), so with
+    # scale >= n m the floors of p * scale / n order them exactly.
+    scale = max((key[4] for key in points), default=1) ** 2
+
+    def point_key(key):
+        x_re, x_im, y_re, y_im, n = key
+        return (x_re * scale // n, x_im * scale // n, y_re * scale // n, y_im * scale // n)
+
+    @cache  # grid-like arrangements repeat coordinates: build each value once
+    def coordinate(re: int, im: int, den: int) -> GaussianRational:
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     vertices = tuple(
         Vertex(
-            point=point,
-            incident=frozenset(incident),
-            multiplicity=len(incident),
-            weight_sum=sum(weights[i] for i in incident),
+            point=(coordinate(key[0], key[1], key[4]), coordinate(key[2], key[3], key[4])),
+            incident=frozenset(points[key]),
+            multiplicity=len(points[key]),
+            weight_sum=sum(weights[i] for i in points[key]),
         )
-        for point, incident in sorted(points.items(), key=point_key)
+        for key in sorted(points, key=point_key)
     )
 
     classes: dict[tuple[GaussianRational, GaussianRational], set[int]] = {}

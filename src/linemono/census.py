@@ -23,7 +23,7 @@ which side of the bound is tighter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cache
 from typing import Iterator
 
 from .arrangement import Line, WeightedArrangement, compute_combinatorics
@@ -64,38 +64,26 @@ class SplitMix64:
                 return z % n
 
 
+@cache
+def _census_line(direction: int, offset: int) -> Line:
+    """The canonical line of DIRECTIONS[direction] with this offset, built once."""
+    a, b = DIRECTIONS[direction]
+    return Line.canonical(*(GaussianRational.of(n) for n in (a, b, offset)))
+
+
 def draw_arrangement(rng: SplitMix64, max_lines: int) -> WeightedArrangement:
     """Draw one valid unweighted arrangement, discarding invalid draws whole."""
     while True:
         count = 3 + rng.below(max_lines - 2)
         lines = []
         for _ in range(count):
-            a, b = DIRECTIONS[rng.below(len(DIRECTIONS))]
+            direction = rng.below(len(DIRECTIONS))
             offset = OFFSET_RANGE[0] + rng.below(OFFSET_RANGE[1] - OFFSET_RANGE[0] + 1)
-            lines.append(
-                Line.canonical(
-                    GaussianRational.of(a),
-                    GaussianRational.of(b),
-                    GaussianRational.of(offset),
-                )
-            )
+            lines.append(_census_line(direction, offset))
         try:
             return WeightedArrangement.build(lines, [1] * count)
         except (DuplicateLine, NotEssential):
             continue
-
-
-def generate_arrangements(seed: int, count: int, max_lines: int) -> list[WeightedArrangement]:
-    """The first `count` accepted draws for this seed."""
-    rng = SplitMix64(seed)
-    return [draw_arrangement(rng, max_lines) for _ in range(count)]
-
-
-def random_weights(rng: SplitMix64, d: int, low: int = 1, high: int = 5) -> tuple[int, ...]:
-    """Weights drawn uniformly in [low, high], divided by their gcd."""
-    weights = [low + rng.below(high - low + 1) for _ in range(d)]
-    g = gcd(*weights)
-    return tuple(w // g for w in weights)
 
 
 @dataclass(frozen=True)

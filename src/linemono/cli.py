@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .arrangement import compute_combinatorics, load_arrangement
 from .census import CensusRow, RunConfig, run_census, summarize
@@ -68,12 +69,8 @@ def cmd_bound(path: str, order: int, residues: list[int] | None) -> int:
     return 0
 
 
-def cmd_verify(path: str, summary_hook=None) -> int:
-    """Run the identity battery; summary_hook is a test-only summary doctor."""
-    summary = compute_combinatorics(load_arrangement(path))
-    if summary_hook is not None:
-        summary = summary_hook(summary)
-    results = run_battery(summary)
+def cmd_verify(path: str) -> int:
+    results = run_battery(compute_combinatorics(load_arrangement(path)))
     _emit(
         {
             "allPassed": battery_passed(results),
@@ -86,17 +83,26 @@ def cmd_verify(path: str, summary_hook=None) -> int:
 def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str | None) -> int:
     config = RunConfig(seed=seed, count=count, max_lines=max_lines, max_order=max_order)
     rows: list[CensusRow] = []
-    if out is None:
+    with (
+        nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="\n")
+    ) as stream:
         for row in run_census(config):
             rows.append(row)
-            _emit_row(row.to_json(), sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as stream:
-            for row in run_census(config):
-                rows.append(row)
-                _emit_row(row.to_json(), stream)
+            _emit_row(row.to_json(), stream)
     _emit(summarize(config, rows))
     return 0
+
+
+def _integer(option: str):
+    """Option parser whose failure is a ParseError, not an argparse exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise ParseError(f"{option} must be an integer, got {text!r}") from exc
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="upper bound for twisted first cohomology")
     p.add_argument("file")
-    p.add_argument("--order", type=int, required=True, help="order N of the eigenvalue")
+    p.add_argument(
+        "--order", type=_integer("--order"), required=True, help="order N of the eigenvalue"
+    )
     p.add_argument(
         "--residues",
         help="comma-separated residues e_1,...,e_d (default: all ones)",
@@ -129,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("census", help="randomized bound-comparison census")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--max-lines", type=int, default=8, dest="max_lines")
-    p.add_argument("--max-order", type=int, default=6, dest="max_order")
+    p.add_argument("--seed", type=_integer("--seed"), default=1)
+    p.add_argument("--count", type=_integer("--count"), default=200)
+    p.add_argument("--max-lines", type=_integer("--max-lines"), default=8, dest="max_lines")
+    p.add_argument("--max-order", type=_integer("--max-order"), default=6, dest="max_order")
     p.add_argument("--out", default=None, help="JSONL output path (default: stdout)")
 
     return parser
@@ -148,8 +156,8 @@ def _parse_residues(text: str | None) -> list[int] | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "info":
             return cmd_info(args.file)
         if args.command == "charpoly":

@@ -41,7 +41,7 @@ def parse_rational(value) -> Fraction:
     raise ParseError(f"expected an integer or 'p/q' string, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianRational:
     """An element of Q(i) with exact Fraction components."""
 
@@ -56,18 +56,8 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
@@ -102,10 +92,6 @@ class GaussianRational:
         return {"im": str(self.im), "re": str(self.re)}
 
 
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-
-
 def parse_coefficient(value) -> GaussianRational:
     """Parse a COEF: an exact rational scalar or {"re": RAT, "im": RAT}."""
     if isinstance(value, dict):
@@ -138,15 +124,5 @@ class RootOfUnity:
         object.__setattr__(self, "k", k // g)
         object.__setattr__(self, "order", self.order // g)
 
-    @property
-    def is_one(self) -> bool:
-        return self.order == 1
-
-    def __str__(self) -> str:
-        return f"exp(2*pi*i*{self.k}/{self.order})"
-
     def to_json(self) -> dict:
         return {"k": self.k, "order": self.order}
-
-
-UNITY = RootOfUnity(0, 1)

@@ -20,7 +20,9 @@ from math import gcd, lcm
 
 from .arrangement import CombinatorialSummary, WeightedArrangement, compute_combinatorics
 from .errors import (
+    BadMonodromy,
     BadOrder,
+    BadResidues,
     InfinityMonodromyTrivial,
     InternalCheckError,
     LengthMismatch,
@@ -43,14 +45,14 @@ class LocalSystem:
         if type(self.order) is not int or self.order < 1:
             raise BadOrder(f"order must be a positive integer, got {self.order!r}")
         if not self.residues:
-            raise ValueError("residue list must be non-empty")
+            raise BadResidues("residue list must be non-empty")
         for r in self.residues:
             if type(r) is not int or not 0 <= r < self.order:
-                raise ValueError(
+                raise BadResidues(
                     f"residue {r!r} outside [0, {self.order}); use LocalSystem.create"
                 )
         if gcd(self.order, *self.residues) != 1:
-            raise ValueError(
+            raise BadResidues(
                 "order is not minimal for these residues; use LocalSystem.create"
             )
 
@@ -66,10 +68,10 @@ class LocalSystem:
             raise BadOrder(f"order must be a positive integer, got {order!r}")
         residues = tuple(residues)
         if not residues:
-            raise ValueError("residue list must be non-empty")
+            raise BadResidues("residue list must be non-empty")
         for r in residues:
             if type(r) is not int:
-                raise ValueError(f"residues must be integers, got {r!r}")
+                raise BadResidues(f"residues must be integers, got {r!r}")
         residues = tuple(r % order for r in residues)
         g = gcd(order, *residues)
         return cls(order // g, tuple(r // g for r in residues))
@@ -78,10 +80,6 @@ class LocalSystem:
     def equimonodromical(cls, order: int, d: int) -> "LocalSystem":
         """All monodromies equal to exp(2*pi*i/order)."""
         return cls.create(order, (1,) * d)
-
-    @property
-    def equimonodromic(self) -> bool:
-        return len(set(self.residues)) == 1
 
     @property
     def has_trivial(self) -> bool:
@@ -105,12 +103,15 @@ def canonical_local_system(monodromies, strict: bool = True) -> LocalSystem:
     automatically.  A fraction 0 means that line's monodromy is 1, which
     `strict` mode rejects.
     """
-    fractions = [Fraction(m) for m in monodromies]
+    try:
+        fractions = [Fraction(m) for m in monodromies]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadMonodromy(f"monodromy is not an exact fraction: {exc}") from exc
     if not fractions:
-        raise ValueError("need at least one monodromy")
+        raise BadMonodromy("need at least one monodromy")
     for q in fractions:
         if not 0 <= q < 1:
-            raise ValueError(f"monodromy fraction {q} outside [0, 1)")
+            raise BadMonodromy(f"monodromy fraction {q} outside [0, 1)")
     if strict and any(q == 0 for q in fractions):
         raise TrivialMonodromy("some monodromy equals 1")
     order = lcm(*(q.denominator for q in fractions))

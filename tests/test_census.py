@@ -4,17 +4,20 @@ import pytest
 
 from linemono import (
     DIRECTIONS,
+    GaussianRational,
+    Line,
     ParseError,
     RunConfig,
-    SplitMix64,
     battery_passed,
     compute_combinatorics,
-    generate_arrangements,
-    random_weights,
+    draw_arrangement,
     run_battery,
     run_census,
     summarize,
 )
+from linemono.census import SplitMix64
+
+from conftest import generate_arrangements, random_weights
 
 
 class TestSplitMix64:
@@ -65,6 +68,29 @@ class TestGenerator:
                 assert any(
                     line.a.re * b == line.b.re * a for a, b in DIRECTIONS
                 )
+
+    @pytest.mark.parametrize("seed, max_lines", [(11, 8), (12, 3), (13, 12)])
+    def test_draws_replay_the_documented_stream(self, seed, max_lines):
+        """Each draw equals a fresh Line.canonical replay of the RNG stream.
+
+        The replay follows the module docstring: a line count, then a
+        direction and an offset per line, and a whole draw discarded on a
+        repeated line or a single parallel class.
+        """
+        rng, replay = SplitMix64(seed), SplitMix64(seed)
+        ga = GaussianRational.of
+        for _ in range(60):
+            drawn = draw_arrangement(rng, max_lines)
+            while True:
+                count = 3 + replay.below(max_lines - 2)
+                lines = []
+                for _ in range(count):
+                    a, b = DIRECTIONS[replay.below(len(DIRECTIONS))]
+                    lines.append(Line.canonical(ga(a), ga(b), ga(-20 + replay.below(41))))
+                if len(set(lines)) == count and len({line.direction for line in lines}) > 1:
+                    break
+            assert drawn.lines == tuple(lines)
+            assert rng.state == replay.state
 
     def test_battery_passes_on_draws(self):
         for arr in generate_arrangements(7, 25, 8):

@@ -175,13 +175,19 @@ class TestVerify:
             assert payload["allPassed"] is True, name
             assert all(c["passed"] for c in payload["checks"])
 
-    def test_corrupted_summary_exits_two(self, capsys, triangle_file):
-        def corrupt(summary):
+    def test_corrupted_summary_exits_two(self, capsys, monkeypatch, triangle_file):
+        import linemono.cli
+
+        original = linemono.cli.compute_combinatorics
+
+        def corrupt(arr):
+            summary = original(arr)
             histogram = dict(summary.histogram)
             histogram[2] = histogram.get(2, 0) + 1
             return replace(summary, histogram=histogram)
 
-        code = cmd_verify(triangle_file, summary_hook=corrupt)
+        monkeypatch.setattr(linemono.cli, "compute_combinatorics", corrupt)
+        code = cmd_verify(triangle_file)
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["allPassed"] is False
@@ -223,6 +229,28 @@ class TestCensusCommand:
             assert keys == sorted(keys)
 
 
+class TestIntegerOptions:
+    """A non-integer option value is a ParseError (exit 1), not an argparse exit 2."""
+
+    def test_order(self, capsys, triangle_file):
+        assert main(["bound", triangle_file, "--order", "x"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "ParseError", "message": "--order must be an integer, got 'x'"}
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--seed", "1.5"), ("--count", "0x"), ("--max-lines", "eight"), ("--max-order", "")],
+    )
+    def test_census_options(self, capsys, option, value):
+        assert main(["census", option, value]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "error": "ParseError",
+            "message": f"{option} must be an integer, got {value!r}",
+        }
+        assert captured.err == ""
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "axes.json"
@@ -235,6 +263,15 @@ class TestSubprocessEntryPoint:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["mu"] == 0
+
+    def test_non_integer_option_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "linemono.cli", "census", "--count", "0x"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "ParseError"
 
     def test_parallel_input_exit_code(self, tmp_path):
         path = tmp_path / "parallel.json"

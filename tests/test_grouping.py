@@ -1,0 +1,202 @@
+"""Vertex grouping on Gaussian-rational lines against independent oracles.
+
+`compute_combinatorics` intersects lines through integer cross products;
+these tests compare it with the Fraction-pair oracle in `_oracles.py` on
+lines whose coefficients are Gaussian rationals with denominators up to
+10^6, including lines with a = 0, non-real directions, parallel classes
+and forced concurrent pencils, and with sympy on random small inputs.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from linemono import GaussianRational, Line, WeightedArrangement, compute_combinatorics
+
+from _oracles import brute_combinatorics, cadd, cmul
+
+MAX_DENOMINATOR = 10**6
+ZERO = (Fraction(0), Fraction(0))
+MINUS_ONE = (Fraction(-1), Fraction(0))
+
+rationals = st.one_of(
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(-5, 5, max_denominator=MAX_DENOMINATOR),
+)
+gaussians = st.one_of(
+    st.tuples(rationals, st.just(Fraction(0))),
+    st.tuples(rationals, rationals),
+)
+nonzero = gaussians.filter(lambda g: g != ZERO)
+directions = st.one_of(
+    st.tuples(st.just(ZERO), nonzero),  # a = 0
+    st.tuples(nonzero, gaussians),
+)
+
+
+@st.composite
+def gaussian_arrangements(draw):
+    """Raw (a, b, c) triples of (re, im) Fraction pairs."""
+    raw = []
+    for _ in range(draw(st.integers(0, 2))):  # pencils through a common point
+        x0, y0 = draw(gaussians), draw(gaussians)
+        for a, b in draw(st.lists(directions, min_size=2, max_size=4)):
+            raw.append((a, b, cmul(MINUS_ONE, cadd(cmul(a, x0), cmul(b, y0)))))
+    for a, b in draw(st.lists(directions, min_size=1, max_size=3)):  # parallel classes
+        for c in draw(st.lists(gaussians, min_size=1, max_size=3)):
+            raw.append((a, b, c))
+    return raw
+
+
+def _gaussian(pair):
+    return GaussianRational(Fraction(pair[0]), Fraction(pair[1]))
+
+
+def _build(raw, weights=None):
+    """Distinct lines of `raw` as (oracle input, arrangement), or None if all parallel."""
+    kept, lines = [], []
+    for a, b, c in raw:
+        line = Line.canonical(_gaussian(a), _gaussian(b), _gaussian(c))
+        if line not in lines:
+            kept.append((a, b, c))
+            lines.append(line)
+    if len({line.direction for line in lines}) < 2:
+        return None
+    weights = [1, *(weights or [])][: len(lines)]  # a leading 1 keeps the gcd 1
+    weights += [1] * (len(lines) - len(weights))
+    return kept, WeightedArrangement.build(lines, weights)
+
+
+def _pair(g):
+    return (g.re, g.im)
+
+
+def _point(v):
+    return (_pair(v.point[0]), _pair(v.point[1]))
+
+
+def _sort_key(v):
+    x, y = v.point
+    return (x.re, x.im, y.re, y.im)
+
+
+class TestAgainstOracle:
+    @given(gaussian_arrangements(), st.lists(st.integers(1, 9), max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_grouping_matches_brute_force(self, raw, weights):
+        built = _build(raw, weights)
+        assume(built is not None)
+        kept, arr = built
+        cs = compute_combinatorics(arr)
+        oracle = brute_combinatorics(kept, arr.weights)
+
+        assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
+        assert all(v.multiplicity == len(v.incident) for v in cs.vertices)
+        assert cs.histogram == oracle["histogram"]
+        assert list(cs.line_vertex_counts) == oracle["line_vertex_counts"]
+        assert cs.p == oracle["p"]
+        assert {
+            (_pair(g.direction[0]), _pair(g.direction[1])): sorted(g.members)
+            for g in cs.directions
+        } == oracle["class_members"]
+        assert {_point(v): v.weight_sum for v in cs.vertices} == oracle["vertex_weight_sums"]
+
+        keys = [_sort_key(v) for v in cs.vertices]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    @given(gaussian_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_pencil_points_are_single_vertices(self, raw):
+        """Lines built through one point meet there in one vertex, whatever the denominators."""
+        built = _build(raw)
+        assume(built is not None)
+        _, arr = built
+        cs = compute_combinatorics(arr)
+        for v in cs.vertices:
+            through = [
+                i
+                for i, line in enumerate(arr.lines)
+                if (line.a * v.point[0] + line.b * v.point[1] + line.c).is_zero
+            ]
+            assert through == sorted(v.incident)
+
+
+class TestGenericLargeDenominators:
+    def test_farey_neighbours_sort_apart(self):
+        """x = 1/1001 and x = 1/1000 differ by 1/(1000 * 1001): still ordered by x first."""
+        ga = GaussianRational.of
+        equations = [(1001, 0, -1), (1000, 0, -1), (0, 1, 0), (0, 1, -1)]
+        lines = [Line.canonical(ga(a), ga(b), ga(c)) for a, b, c in equations]
+        cs = compute_combinatorics(WeightedArrangement.build(lines, [1] * 4))
+        left, right = Fraction(1, 1001), Fraction(1, 1000)
+        assert [(v.point[0].re, v.point[1].re) for v in cs.vertices] == [
+            (left, 0), (left, 1), (right, 0), (right, 1)
+        ]
+
+    def test_forty_generic_lines(self):
+        """Many distinct large denominators: every pair is its own vertex, in order."""
+        rng = random.Random(5)
+        raw = [
+            ((Fraction(1), Fraction(0)),) + tuple(_random_gaussian(rng, 10**6) for _ in range(2))
+            for _ in range(40)
+        ]
+        kept, arr = _build(raw)
+        cs = compute_combinatorics(arr)
+        oracle = brute_combinatorics(kept)
+        assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
+        keys = [_sort_key(v) for v in cs.vertices]
+        assert keys == sorted(keys)
+
+
+def _random_gaussian(rng, max_den):
+    re = Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+    im = Fraction(rng.randint(-9, 9), rng.randint(1, max_den)) if rng.random() < 0.5 else 0
+    return (Fraction(re), Fraction(im))
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_intersection_points(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        raw = []
+        x0, y0 = _random_gaussian(rng, 50), _random_gaussian(rng, 50)
+        for _ in range(3):  # a pencil through (x0, y0)
+            a, b = _random_gaussian(rng, 50), _random_gaussian(rng, 50)
+            raw.append((a, b, cmul(MINUS_ONE, cadd(cmul(a, x0), cmul(b, y0)))))
+        for _ in range(rng.randint(1, 3)):
+            raw.append(tuple(_random_gaussian(rng, 1000) for _ in range(3)))
+        built = _build(raw)
+        assert built is not None
+        kept, arr = built
+
+        def to_sympy(pair):
+            re, im = (sympy.Rational(q.numerator, q.denominator) for q in pair)
+            return re + sympy.I * im
+
+        def to_pair(value):
+            re, im = sympy.re(value), sympy.im(value)
+            return (Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+        x, y = sympy.symbols("x y")
+        expected: dict = {}
+        for i in range(len(kept)):
+            for j in range(i + 1, len(kept)):
+                equations = [
+                    to_sympy(a) * x + to_sympy(b) * y + to_sympy(c)
+                    for a, b, c in (kept[i], kept[j])
+                ]
+                solution = sympy.solve(equations, [x, y], dict=True)
+                if not solution:
+                    continue  # parallel
+                point = tuple(to_pair(sympy.expand(solution[0][s])) for s in (x, y))
+                expected.setdefault(point, set()).update((i, j))
+
+        cs = compute_combinatorics(arr)
+        assert {_point(v): set(v.incident) for v in cs.vertices} == expected
+        assert [_point(v) for v in cs.vertices] == sorted(expected, key=lambda p: (*p[0], *p[1]))
+        assert any(v.multiplicity >= 3 for v in cs.vertices)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linemono import (
+    BadMonodromy,
     BadOrder,
+    BadResidues,
     InfinityMonodromyTrivial,
     LengthMismatch,
     LocalSystem,
@@ -37,7 +39,6 @@ class TestCanonicalLocalSystem:
         assert ls.order == 3
         assert ls.residues == (2, 2)
         assert ls.residues_gcd == 2
-        assert ls.equimonodromic
 
     def test_mixed_denominators(self):
         ls = canonical_local_system([Fraction(1, 2), Fraction(1, 3)])
@@ -75,6 +76,35 @@ class TestCanonicalLocalSystem:
             LocalSystem(6, (2, 4))  # gcd 2: not minimal
         with pytest.raises(ValueError):
             LocalSystem(4, (1, 5))  # out of range
+
+
+class TestTypedErrors:
+    """Bad residues and monodromies raise InputErrors that stay ValueErrors."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LocalSystem.create(3, []),
+            lambda: LocalSystem.create(3, [1.5]),
+            lambda: LocalSystem.create(3, ["1"]),
+            lambda: LocalSystem(3, ()),
+            lambda: LocalSystem(4, (1, 5)),
+            lambda: LocalSystem(4, (1, -1)),
+            lambda: LocalSystem(6, (2, 4)),
+        ],
+    )
+    def test_bad_residues(self, build):
+        with pytest.raises(BadResidues) as info:
+            build()
+        assert isinstance(info.value, ValueError)
+        assert info.value.code == "BadResidues"
+
+    @pytest.mark.parametrize("monodromies", [[], ["3/2"], [Fraction(-1, 3)], [1], ["x"], ["1/0"]])
+    def test_bad_monodromy(self, monodromies):
+        with pytest.raises(BadMonodromy) as info:
+            canonical_local_system(monodromies)
+        assert isinstance(info.value, ValueError)
+        assert info.value.code == "BadMonodromy"
 
 
 class TestVertexMultZero:
