@@ -23,7 +23,10 @@ from .census import (
     DIRECTIONS,
     CensusRow,
     RunConfig,
+    SplitMix64,
     draw_arrangement,
+    generate_arrangements,
+    random_weights,
     run_census,
     summarize,
 )
@@ -51,6 +54,7 @@ from .factored import (
     CyclotomicExponents,
     FactoredUnityPoly,
     cyclotomic_poly,
+    euler_phi,
     gcd_factored,
 )
 from .invariants import (
@@ -73,6 +77,7 @@ from .localsys import (
     vertex_mult_zero,
 )
 from .monodromy import (
+    StratumDescriptor,
     ZetaFunction,
     charpoly_infinity,
     charpoly_zero_closed,
@@ -113,6 +118,8 @@ __all__ = [
     "ParseError",
     "RootOfUnity",
     "RunConfig",
+    "SplitMix64",
+    "StratumDescriptor",
     "TrivialMonodromy",
     "Vertex",
     "WeightedArrangement",
@@ -129,7 +136,9 @@ __all__ = [
     "cyclotomic_poly",
     "delta_f",
     "draw_arrangement",
+    "euler_phi",
     "gcd_factored",
+    "generate_arrangements",
     "genus_general_fiber",
     "h1_upper_bound",
     "infinity_singularity_mu",
@@ -139,6 +148,7 @@ __all__ = [
     "mu_arrangement",
     "numbers_identity",
     "parse_arrangement",
+    "random_weights",
     "run_battery",
     "run_census",
     "strata",

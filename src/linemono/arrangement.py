@@ -48,7 +48,7 @@ from .errors import (
 from .exact import GaussianRational, parse_coefficient
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Line:
     """a*x + b*y + c = 0 in canonical form."""
 
@@ -182,7 +182,7 @@ def load_arrangement(path) -> WeightedArrangement:
         return parse_arrangement(handle.read())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Vertex:
     """An intersection point with its incident lines and weight sum."""
 
@@ -192,7 +192,7 @@ class Vertex:
     weight_sum: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DirectionClass:
     """A maximal parallel class; combinatorial stand-in for a point at infinity."""
 

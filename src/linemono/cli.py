@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
 
 from .arrangement import compute_combinatorics, load_arrangement
 from .census import CensusRow, RunConfig, run_census, summarize
@@ -69,8 +68,12 @@ def cmd_bound(path: str, order: int, residues: list[int] | None) -> int:
     return 0
 
 
-def cmd_verify(path: str) -> int:
-    results = run_battery(compute_combinatorics(load_arrangement(path)))
+def cmd_verify(path: str, summary_hook=None) -> int:
+    """Run the identity battery; summary_hook is a test-only summary doctor."""
+    summary = compute_combinatorics(load_arrangement(path))
+    if summary_hook is not None:
+        summary = summary_hook(summary)
+    results = run_battery(summary)
     _emit(
         {
             "allPassed": battery_passed(results),
@@ -83,12 +86,15 @@ def cmd_verify(path: str) -> int:
 def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str | None) -> int:
     config = RunConfig(seed=seed, count=count, max_lines=max_lines, max_order=max_order)
     rows: list[CensusRow] = []
-    with (
-        nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="\n")
-    ) as stream:
+    if out is None:
         for row in run_census(config):
             rows.append(row)
-            _emit_row(row.to_json(), stream)
+            _emit_row(row.to_json(), sys.stdout)
+    else:
+        with open(out, "w", encoding="utf-8", newline="\n") as stream:
+            for row in run_census(config):
+                rows.append(row)
+                _emit_row(row.to_json(), stream)
     _emit(summarize(config, rows))
     return 0
 

@@ -82,6 +82,10 @@ class LocalSystem:
         return cls.create(order, (1,) * d)
 
     @property
+    def equimonodromic(self) -> bool:
+        return len(set(self.residues)) == 1
+
+    @property
     def has_trivial(self) -> bool:
         """True when some line's monodromy is 1 (residue 0, or order 1)."""
         return self.order == 1 or any(r == 0 for r in self.residues)

@@ -1,11 +1,9 @@
 import json
-from math import gcd
 from pathlib import Path
 
 import pytest
 
-from linemono import draw_arrangement, parse_arrangement
-from linemono.census import SplitMix64
+from linemono import parse_arrangement
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -57,19 +55,6 @@ CONCURRENT_FOUR = {
 
 def arrangement(document: dict):
     return parse_arrangement(json.dumps(document))
-
-
-def generate_arrangements(seed: int, count: int, max_lines: int):
-    """The first `count` accepted census draws for this seed."""
-    rng = SplitMix64(seed)
-    return [draw_arrangement(rng, max_lines) for _ in range(count)]
-
-
-def random_weights(rng: SplitMix64, d: int, low: int = 1, high: int = 5) -> tuple[int, ...]:
-    """Weights drawn uniformly in [low, high], divided by their gcd."""
-    weights = [low + rng.below(high - low + 1) for _ in range(d)]
-    g = gcd(*weights)
-    return tuple(w // g for w in weights)
 
 
 @pytest.fixture

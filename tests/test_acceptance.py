@@ -20,6 +20,7 @@ from linemono import (
     NotEssential,
     RootOfUnity,
     RunConfig,
+    SplitMix64,
     TrivialMonodromy,
     WeightedArrangement,
     betti1_general_fiber,
@@ -28,15 +29,16 @@ from linemono import (
     charpoly_zero_from_zeta,
     compute_combinatorics,
     delta_f,
+    generate_arrangements,
     h1_upper_bound,
     invariant_report,
     parse_arrangement,
+    random_weights,
     run_census,
     vertex_mult_infinity,
     vertex_mult_zero,
     zeta_at_zero,
 )
-from linemono.census import SplitMix64
 
 from _oracles import expand_factored, poly_gcd, root_multiplicity
 from conftest import (
@@ -46,8 +48,6 @@ from conftest import (
     TWO_AXES,
     WEIGHTED_TRIANGLE,
     arrangement,
-    generate_arrangements,
-    random_weights,
 )
 
 CENSUS_SEED = 1

@@ -8,16 +8,16 @@ from linemono import (
     Line,
     ParseError,
     RunConfig,
+    SplitMix64,
     battery_passed,
     compute_combinatorics,
     draw_arrangement,
+    generate_arrangements,
+    random_weights,
     run_battery,
     run_census,
     summarize,
 )
-from linemono.census import SplitMix64
-
-from conftest import generate_arrangements, random_weights
 
 
 class TestSplitMix64:

@@ -175,19 +175,13 @@ class TestVerify:
             assert payload["allPassed"] is True, name
             assert all(c["passed"] for c in payload["checks"])
 
-    def test_corrupted_summary_exits_two(self, capsys, monkeypatch, triangle_file):
-        import linemono.cli
-
-        original = linemono.cli.compute_combinatorics
-
-        def corrupt(arr):
-            summary = original(arr)
+    def test_corrupted_summary_exits_two(self, capsys, triangle_file):
+        def corrupt(summary):
             histogram = dict(summary.histogram)
             histogram[2] = histogram.get(2, 0) + 1
             return replace(summary, histogram=histogram)
 
-        monkeypatch.setattr(linemono.cli, "compute_combinatorics", corrupt)
-        code = cmd_verify(triangle_file)
+        code = cmd_verify(triangle_file, summary_hook=corrupt)
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["allPassed"] is False

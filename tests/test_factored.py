@@ -13,9 +13,9 @@ from linemono import (
     NotPolynomial,
     RootOfUnity,
     cyclotomic_poly,
+    euler_phi,
     gcd_factored,
 )
-from linemono.factored import euler_phi
 
 from _oracles import cyclotomic, expand_factored, pmul, poly_gcd, root_multiplicity
 

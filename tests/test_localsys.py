@@ -39,6 +39,7 @@ class TestCanonicalLocalSystem:
         assert ls.order == 3
         assert ls.residues == (2, 2)
         assert ls.residues_gcd == 2
+        assert ls.equimonodromic
 
     def test_mixed_denominators(self):
         ls = canonical_local_system([Fraction(1, 2), Fraction(1, 3)])
