@@ -38,6 +38,7 @@ from .errors import (
     BadResidues,
     BadWeight,
     DuplicateLine,
+    ExpandTooLarge,
     InfinityMonodromyTrivial,
     InputError,
     InternalCheckError,
@@ -51,9 +52,9 @@ from .errors import (
 )
 from .exact import GaussianRational, RootOfUnity
 from .factored import (
+    EXPAND_LIMIT,
     CyclotomicExponents,
     FactoredUnityPoly,
-    cyclotomic_poly,
     euler_phi,
     gcd_factored,
 )
@@ -103,6 +104,8 @@ __all__ = [
     "DIRECTIONS",
     "DirectionClass",
     "DuplicateLine",
+    "EXPAND_LIMIT",
+    "ExpandTooLarge",
     "FactoredUnityPoly",
     "GaussianRational",
     "InfinityMonodromyTrivial",
@@ -133,7 +136,6 @@ __all__ = [
     "charpoly_zero_closed",
     "charpoly_zero_from_zeta",
     "compute_combinatorics",
-    "cyclotomic_poly",
     "delta_f",
     "draw_arrangement",
     "euler_phi",

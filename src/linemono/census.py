@@ -22,10 +22,11 @@ which side of the bound is tighter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arrangement import Line, WeightedArrangement, compute_combinatorics
 from .checks import battery_passed, run_battery
@@ -182,14 +183,16 @@ def run_census(config: RunConfig) -> Iterator[CensusRow]:
             )
 
 
-def summarize(config: RunConfig, rows: list[CensusRow]) -> dict:
+def summarize(config: RunConfig, rows: Iterable[CensusRow]) -> dict:
+    """The summary object; `rows` may be any iterable, read once."""
+    tighter = Counter(r.tighter for r in rows)
     return {
         "arrangements": config.count,
         "maxLines": config.max_lines,
         "maxOrder": config.max_order,
-        "rows": len(rows),
+        "rows": sum(tighter.values()),
         "seed": config.seed,
-        "tighterInfinity": sum(1 for r in rows if r.tighter == "infinity"),
-        "tighterZero": sum(1 for r in rows if r.tighter == "zero"),
-        "ties": sum(1 for r in rows if r.tighter == "tie"),
+        "tighterInfinity": tighter["infinity"],
+        "tighterZero": tighter["zero"],
+        "ties": tighter["tie"],
     }

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: info, charpoly, zeta, bound, verify, census.  All output is
-UTF-8 JSON with lexicographically sorted keys.  Exit codes: 0 success,
-1 invalid input (with a machine-readable error object), 2 internal
-invariant violation.
+UTF-8 JSON with lexicographically sorted keys.  Exit codes: 0 success
+(and --help), 1 invalid input, usage errors included (with a
+machine-readable error object), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .arrangement import compute_combinatorics, load_arrangement
-from .census import CensusRow, RunConfig, run_census, summarize
+from .census import RunConfig, run_census, summarize
 from .checks import battery_passed, run_battery
 from .errors import InputError, InternalCheckError, ParseError
 from .invariants import invariant_report
@@ -85,17 +86,18 @@ def cmd_verify(path: str, summary_hook=None) -> int:
 
 def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str | None) -> int:
     config = RunConfig(seed=seed, count=count, max_lines=max_lines, max_order=max_order)
-    rows: list[CensusRow] = []
-    if out is None:
+
+    def written(stream):
         for row in run_census(config):
-            rows.append(row)
-            _emit_row(row.to_json(), sys.stdout)
+            _emit_row(row.to_json(), stream)
+            yield row
+
+    if out is None:
+        summary = summarize(config, written(sys.stdout))
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as stream:
-            for row in run_census(config):
-                rows.append(row)
-                _emit_row(row.to_json(), stream)
-    _emit(summarize(config, rows))
+            summary = summarize(config, written(stream))
+    _emit(summary)
     return 0
 
 
@@ -111,8 +113,17 @@ def _integer(option: str):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ParseErrors (exit 1), not exit 2."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process and shared by every call."""
+    parser = _Parser(
         prog="linemono",
         description="Exact monodromy invariants of weighted affine line arrangements",
     )

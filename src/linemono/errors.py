@@ -44,6 +44,10 @@ class NotPolynomial(InputError):
     """A factored product with a pole was used where a polynomial is required."""
 
 
+class ExpandTooLarge(InputError):
+    """A dense expansion would exceed EXPAND_LIMIT (degree times factor steps)."""
+
+
 class WeightedNotSupported(InputError):
     """Operation is defined only for all-ones multiplicities."""
 

@@ -6,9 +6,13 @@ sparsely as a map {m: c_m}.  Negative exponents are first class: zeta
 functions are rational functions.  Because t^m - 1 = prod_{N | m} Phi_N(t)
 (Phi_N the N-th cyclotomic polynomial), refactoring over the cyclotomic
 basis turns root-multiplicity questions into exact integer divisor sums,
-which is how all multiplicity counting is done here.  Dense expansion to
-integer coefficient lists exists as an explicit oracle path, not as the
-working representation.
+which is how all multiplicity counting is done here.
+
+Dense expansion never builds a cyclotomic polynomial: each positive factor
+is one shift-subtract, then each negative one an exact division by the
+recurrence q[k] = q[k-m] - p[k].  D+ = sum_{c>0} m*c bounds every list
+length and S+ = sum_{c>0} c counts the steps and bounds the coefficient
+bits (each factor has l1-norm 2), so EXPAND_LIMIT caps D+ * S+.
 
 Dense polynomials, where they appear, are ascending integer coefficient
 lists: [c0, c1, ...] means c0 + c1*t + ...
@@ -16,11 +20,14 @@ lists: [c0, c1, ...] means c0 + c1*t + ...
 
 from __future__ import annotations
 
-from functools import lru_cache
+from operator import sub
 from typing import Iterable, Mapping
 
-from .errors import NegativeExponent, NotPolynomial
+from .errors import ExpandTooLarge, NegativeExponent, NotPolynomial
 from .exact import RootOfUnity
+
+EXPAND_LIMIT = 10**7
+"""Largest D+ * S+ that FactoredUnityPoly.expand accepts (see the module doc)."""
 
 
 def divisors(n: int) -> list[int]:
@@ -51,57 +58,19 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Dense product of two ascending integer coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _divide_exact(p: list[int], m: int) -> list[int] | None:
+    """p / (t^m - 1), or None when that is not a polynomial.
 
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division by a monic divisor; remainder must vanish."""
-    num = list(num)
-    deg_q = len(num) - len(den)
-    if deg_q < 0:
-        raise ArithmeticError("inexact polynomial division")
-    quot = [0] * (deg_q + 1)
-    for i in range(deg_q, -1, -1):
-        coeff = num[i + len(den) - 1]
-        quot[i] = coeff
-        if coeff:
-            for j, d in enumerate(den):
-                num[i + j] -= coeff * d
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d < n:
-            poly = _poly_div_exact(poly, list(_cyclotomic(d)))
-    return tuple(poly)
-
-
-def cyclotomic_poly(n: int) -> list[int]:
-    """The n-th cyclotomic polynomial as a dense ascending coefficient list.
-
-    Computed by exactly dividing t^n - 1 by the cyclotomic polynomials of
-    the proper divisors of n.
+    Runs q[k] = q[k-m] - p[k] over all of p, one block of m at a time; the
+    division is exact if and only if the top m entries of q vanish.
     """
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    return list(_cyclotomic(n))
+    cut = len(p) - m
+    if cut < 1:
+        return None
+    q = [-x for x in p[:m]]
+    for start in range(m, len(p), m):
+        q += map(sub, q[start - m : start], p[start : start + m])
+    return None if any(q[cut:]) else q[:cut]
 
 
 class FactoredUnityPoly:
@@ -176,9 +145,29 @@ class FactoredUnityPoly:
 
         Requires the value to be an honest polynomial: every cyclotomic
         exponent must be nonnegative (individual factor exponents may
-        still be negative, e.g. {2: 1, 1: -1} expands to t + 1).
+        still be negative, e.g. {2: 1, 1: -1} expands to t + 1).  Raises
+        ExpandTooLarge, before any coefficient list is built, when
+        D+ * S+ exceeds EXPAND_LIMIT, and NotPolynomial when a division
+        leaves a remainder or would give a negative degree.
         """
-        return self.to_cyclotomic().expand()
+        positive = [(m, c) for m, c in self._items if c > 0]
+        degree = sum(m * c for m, c in positive)
+        steps = sum(c for _, c in positive)
+        if degree * steps > EXPAND_LIMIT:
+            raise ExpandTooLarge(
+                f"expansion needs D+ * S+ = {degree} * {steps} > EXPAND_LIMIT = {EXPAND_LIMIT}"
+            )
+        out = [1]
+        for m, c in positive:
+            pad = [0] * m
+            for _ in range(c):
+                out = list(map(sub, pad + out, out + pad))
+        for m, c in self._items:
+            for _ in range(-c):
+                out = _divide_exact(out, m)
+                if out is None:
+                    raise NotPolynomial(f"{self.to_cyclotomic()} has a pole; cannot expand")
+        return out
 
     def __str__(self) -> str:
         if not self._items:
@@ -229,16 +218,6 @@ class CyclotomicExponents:
 
     def has_negative_exponent(self) -> bool:
         return any(e < 0 for _, e in self._items)
-
-    def expand(self) -> list[int]:
-        if self.has_negative_exponent():
-            raise NotPolynomial(f"{self} has a pole; cannot expand")
-        out = [1]
-        for n, e in self._items:
-            phi = cyclotomic_poly(n)
-            for _ in range(e):
-                out = poly_mul(out, phi)
-        return out
 
     def __str__(self) -> str:
         if not self._items:

@@ -2,7 +2,7 @@
 
 Nothing here imports the package under test.  Polynomials are ascending
 Fraction coefficient lists; cyclotomic polynomials come from the Moebius
-product (a different route than the package's recursive division);
+product (the package expands (t^m - 1) factors and never builds them);
 arrangement combinatorics is redone from scratch over pairs of Fractions.
 """
 
@@ -85,8 +85,8 @@ def cyclotomic(n):
     return quot
 
 
-def expand_factored(factors):
-    """Expand prod (t^m - 1)^{c_m}, negative exponents via exact division."""
+def divmod_factored(factors):
+    """(quotient, remainder) of prod (t^m - 1)^{c_m}: numerator by denominator."""
     num = [Fraction(1)]
     den = [Fraction(1)]
     for m, c in factors.items():
@@ -95,7 +95,12 @@ def expand_factored(factors):
                 num = pmul(num, tpow_minus_one(m))
             else:
                 den = pmul(den, tpow_minus_one(m))
-    quot, rem = pdivmod(num, den)
+    return pdivmod(num, den)
+
+
+def expand_factored(factors):
+    """Expand prod (t^m - 1)^{c_m}, negative exponents via exact division."""
+    quot, rem = divmod_factored(factors)
     assert not rem, "not a polynomial"
     return quot
 

@@ -159,3 +159,14 @@ class TestCensus:
         )
         assert summary["seed"] == 5
         assert summary["arrangements"] == 15
+
+    def test_summary_reads_a_one_shot_generator(self):
+        config = RunConfig(seed=5, count=15, max_lines=6, max_order=4)
+        rows = list(run_census(config))
+        summary = summarize(config, (row for row in rows))
+        assert summary == summarize(config, rows)
+        assert summary["rows"] == len(rows)
+        assert summary["tighterZero"] == sum(row.tighter == "zero" for row in rows)
+        assert summary["tighterInfinity"] == sum(row.tighter == "infinity" for row in rows)
+        assert summary["ties"] == sum(row.tighter == "tie" for row in rows)
+        assert summarize(config, run_census(config)) == summary

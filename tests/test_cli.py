@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from linemono.cli import (
+    build_parser,
     cmd_bound,
     cmd_census,
     cmd_charpoly,
@@ -245,6 +246,58 @@ class TestIntegerOptions:
         assert captured.err == ""
 
 
+# Message prefixes: the tail of argparse's wording varies between Python versions.
+USAGE_ERRORS = [
+    (["census", "--bogus"], "linemono: unrecognized arguments: --bogus"),
+    (
+        ["bound", str(FIXTURES / "triangle.json")],
+        "linemono bound: the following arguments are required: --order",
+    ),
+    (
+        ["charpoly", str(FIXTURES / "triangle.json"), "--at", "middle"],
+        "linemono charpoly: argument --at: invalid choice: 'middle'",
+    ),
+    ([], "linemono: the following arguments are required: command"),
+]
+
+
+class TestUsageErrors:
+    """Usage errors are a ParseError object on stdout with exit 1, not usage text and exit 2."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+    def test_in_process(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(message)
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["census", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: linemono")
+
+
+class TestParserBuiltOnce:
+    def test_two_commands_one_parser(self, capsys):
+        fixture = str(FIXTURES / "weighted_triangle.json")
+        argv = ["charpoly", fixture, "--at", "infinity", "--expand"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "linemono.cli", *argv], capture_output=True, text=True
+        )
+        build_parser.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert build_parser.cache_info().misses == 1
+        assert outputs == [proc.stdout, proc.stdout]
+        assert json.loads(proc.stdout)["coefficients"] == [1, -1, 0, 0, -1, 1]
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "axes.json"
@@ -266,6 +319,24 @@ class TestSubprocessEntryPoint:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+    def test_usage_error_exit_code(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "linemono.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(message)
+        assert proc.stderr == ""
+
+    def test_help_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "linemono.cli", "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: linemono")
 
     def test_parallel_input_exit_code(self, tmp_path):
         path = tmp_path / "parallel.json"

@@ -1,27 +1,54 @@
 """Exact factored-polynomial algebra: frozen examples and algebraic laws."""
 
+import json
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linemono import (
+    EXPAND_LIMIT,
     CyclotomicExponents,
+    ExpandTooLarge,
     FactoredUnityPoly,
     NegativeExponent,
     NotPolynomial,
     RootOfUnity,
-    cyclotomic_poly,
     euler_phi,
     gcd_factored,
 )
+from linemono.cli import main
 
-from _oracles import cyclotomic, expand_factored, pmul, poly_gcd, root_multiplicity
+from _oracles import (
+    cyclotomic,
+    divmod_factored,
+    expand_factored,
+    moebius,
+    pmul,
+    poly_gcd,
+    root_multiplicity,
+)
 
 
 def fp(factors):
     return FactoredUnityPoly(factors)
+
+
+def moebius_factors(n):
+    """Phi_n = prod_{d | n} (t^d - 1)^{mu(n/d)} as a factor map."""
+    return {d: moebius(n // d) for d in range(1, n + 1) if n % d == 0}
+
+
+def oracle_dense(value: CyclotomicExponents):
+    """prod Phi_n^{e_n} from the oracle's Moebius-product cyclotomics."""
+    out = [Fraction(1)]
+    for n, e in value.exponents.items():
+        for _ in range(e):
+            out = pmul(out, cyclotomic(n))
+    return out
 
 
 class TestMultiply:
@@ -110,7 +137,8 @@ class TestExpand:
         assert fp({1: 1, 3: 1}).expand() == [1, -1, 0, -1, 1]
 
     def test_cyclotomic_six(self):
-        assert cyclotomic_poly(6) == [1, -1, 1]
+        # Phi_6 = (t^6-1)(t-1) / ((t^2-1)(t^3-1))
+        assert fp({1: 1, 2: -1, 3: -1, 6: 1}).expand() == [1, -1, 1]
 
     def test_negative_factor_but_polynomial(self):
         # (t^2-1)/(t-1) = t + 1
@@ -127,32 +155,37 @@ class TestExpand:
 
 
 class TestCyclotomicPoly:
+    """Oracle self-tests, and expand() of the Moebius factor map of Phi_n."""
+
     def test_first_two(self):
-        assert cyclotomic_poly(1) == [-1, 1]
-        assert cyclotomic_poly(2) == [1, 1]
+        assert cyclotomic(1) == [-1, 1]
+        assert cyclotomic(2) == [1, 1]
+        assert fp(moebius_factors(1)).expand() == [-1, 1]
+        assert fp(moebius_factors(2)).expand() == [1, 1]
 
     def test_twelve_against_long_division_oracle(self):
-        # Frozen: divide t^12 - 1 by Phi_1 Phi_2 Phi_3 Phi_4 Phi_6 with the
-        # independent Moebius/long-division routine.
+        # Frozen: Phi_12 = t^4 - t^2 + 1, from the Moebius/long-division
+        # oracle and from expanding (t^12-1)(t^2-1) / ((t^6-1)(t^4-1)).
         assert [int(c) for c in cyclotomic(12)] == [1, 0, -1, 0, 1]
-        assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+        assert moebius_factors(12) == {1: 0, 2: 1, 3: 0, 4: -1, 6: -1, 12: 1}
+        assert fp(moebius_factors(12)).expand() == [1, 0, -1, 0, 1]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            cyclotomic_poly(0)
+            CyclotomicExponents({0: 1})
 
     @pytest.mark.parametrize("n", range(1, 61))
     def test_product_over_divisors(self, n):
         product = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                product = [int(x) for x in pmul(product, cyclotomic_poly(d))]
+                product = pmul(product, cyclotomic(d))
         expected = [-1] + [0] * (n - 1) + [1]
         assert product == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 15, 24, 30])
     def test_against_moebius_oracle(self, n):
-        assert cyclotomic_poly(n) == [int(c) for c in cyclotomic(n)]
+        assert fp(moebius_factors(n)).expand() == [int(c) for c in cyclotomic(n)]
 
 
 small_factored = st.dictionaries(
@@ -205,7 +238,7 @@ class TestAlgebraLaws:
     def test_gcd_matches_dense_euclid(self, a, b):
         result = gcd_factored(fp(a), fp(b))
         dense = poly_gcd(expand_factored(a), expand_factored(b))
-        assert result.expand() == [int(c) for c in dense]
+        assert oracle_dense(result) == dense
 
 
 class TestCarrierBasics:
@@ -237,4 +270,123 @@ class TestCarrierBasics:
         assert value.degree() == 2 + 2
         assert value.multiplicity(RootOfUnity(1, 3)) == 1
         assert value.multiplicity(RootOfUnity(1, 5)) == 0
-        assert value.expand() == [int(c) for c in expand_factored({1: 1, 3: 1})]
+        assert value == fp({1: 1, 3: 1}).to_cyclotomic()
+        assert oracle_dense(value) == expand_factored({1: 1, 3: 1})
+
+
+class TestExpandAgainstOracle:
+    @given(
+        st.dictionaries(
+            st.integers(min_value=1, max_value=30),
+            st.integers(min_value=-3, max_value=4).filter(bool),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_division(self, factors):
+        quot, rem = divmod_factored(factors)
+        value = fp(factors)
+        if rem:
+            with pytest.raises(NotPolynomial) as info:
+                value.expand()
+            assert str(info.value) == f"{value.to_cyclotomic()} has a pole; cannot expand"
+        else:
+            assert value.expand() == quot
+
+    def test_exact_division_by_every_divisor_factor(self):
+        # (t^12-1)^2 / (t^d-1) for each proper d | 12: no remainder.
+        for d in (1, 2, 3, 4, 6):
+            assert fp({12: 2, d: -1}).expand() == expand_factored({12: 2, d: -1})
+
+
+class TestExpandLimit:
+    def test_exactly_the_limit_expands(self):
+        # D+ = 10 * 1000, S+ = 1000: (t^10 - 1)^1000 by the binomial theorem.
+        assert 10 * 1000 * 1000 == EXPAND_LIMIT
+        coefficients = fp({10: 1000}).expand()
+        expected = [0] * 10001
+        for k in range(1001):
+            expected[10 * k] = (-1) ** (1000 - k) * comb(1000, k)
+        assert coefficients == expected
+
+    def test_one_over_the_limit_is_refused(self):
+        # D+ = 10 + 909081 = 909091, S+ = 11, D+ * S+ = 10^7 + 1.
+        value = fp({1: 10, 909081: 1})
+        with pytest.raises(ExpandTooLarge):
+            value.expand()
+
+    def test_refused_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ExpandTooLarge):
+            fp({1: 1, 10**18: 2}).expand()
+        assert time.perf_counter() - start < 0.1
+
+    def test_huge_negative_exponent_stops_at_the_first_pole(self):
+        # Negative exponents do not count toward the limit: the division
+        # loop ends at the first inexact step.
+        start = time.perf_counter()
+        with pytest.raises(NotPolynomial):
+            fp({2: 1, 1: -(10**18)}).expand()
+        assert time.perf_counter() - start < 0.1
+
+
+def triangle(path, weight):
+    path.write_text(
+        json.dumps(
+            {
+                "lines": [
+                    {"a": 1, "b": 0, "c": 0},
+                    {"a": 0, "b": 1, "c": 0},
+                    {"a": 1, "b": 1, "c": -1, "e": weight},
+                ]
+            }
+        )
+    )
+    return str(path)
+
+
+def timed_main(argv):
+    start = time.perf_counter()
+    code = main(argv)
+    return code, time.perf_counter() - start
+
+
+class TestExpandRegressions:
+    """Inputs that took seconds to hours with cyclotomic re-expansion."""
+
+    def test_linear_times_t_20004(self, capsys, tmp_path):
+        # Weights (1, 1, 20002): the infinity charpoly is (t-1)(t^20004-1).
+        code, elapsed = timed_main(
+            ["charpoly", triangle(tmp_path / "t.json", 20002), "--at", "infinity", "--expand"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["factors"] == {"1": 1, "20004": 1}
+        expected = [0] * 20006
+        expected[0:2] = [1, -1]
+        expected[20004:20006] = [-1, 1]
+        assert payload["coefficients"] == expected
+        assert elapsed < 2
+
+    def test_weight_200000_triangle_at_zero(self, capsys, tmp_path):
+        # (t-1)^3 (t^200000-1)
+        code, elapsed = timed_main(
+            ["charpoly", triangle(tmp_path / "t.json", 200000), "--at", "zero", "--expand"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        expected = [0] * 200004
+        expected[0:4] = [1, -3, 3, -1]
+        expected[200000:200004] = [-1, 3, -3, 1]
+        assert payload["coefficients"] == expected
+        assert elapsed < 2
+
+    @pytest.mark.parametrize("at", ["zero", "infinity"])
+    def test_weight_10_18_triangle_is_refused(self, capsys, tmp_path, at):
+        code, elapsed = timed_main(
+            ["charpoly", triangle(tmp_path / "t.json", 10**18), "--at", at, "--expand"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["error"] == "ExpandTooLarge"
+        assert elapsed < 2
