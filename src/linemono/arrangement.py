@@ -9,12 +9,22 @@ classes (the points at infinity, kept purely combinatorial), the vertex
 multiplicity histogram and per-line vertex counts.  No epsilon appears
 anywhere; coincidence of intersection points is exact.
 
-Vertices are grouped in integer arithmetic: each line is scaled once to
-Gaussian integers A x + B y + C = 0, and two lines with Z = A1 B2 - A2 B1
-!= 0 meet at (X/Z, Y/Z), X = C2 B1 - C1 B2, Y = C1 A2 - C2 A1.  The key
-(X conj(Z), Y conj(Z), |Z|^2), five integers over their gcd, is the same
-for every pair through a point since |Z|^2 > 0.  Fractions are built once
-per vertex; vertices sort on integer floors of their scaled coordinates.
+Each line carries integer keys, computed once when it is built: its
+triple (Re A, Im A, Re B, Im B, Re C, Im C), the canonical form scaled by
+the lcm of its denominators to Gaussian integers A x + B y + C = 0, and
+its direction key (Re A, Im A, Re B, Im B) over their gcd.  A canonical
+line has a coefficient equal to 1, so its triple is primitive and
+positive there: canonical lines are equal exactly when their triples
+are, and parallel exactly when their direction keys are.  Duplicates,
+essentiality and direction classes are decided on these integer tuples,
+without hashing a Fraction.
+
+Vertices are grouped in integer arithmetic on the triples: two lines
+with Z = A1 B2 - A2 B1 != 0 meet at (X/Z, Y/Z), X = C2 B1 - C1 B2,
+Y = C1 A2 - C2 A1.  The key (X conj(Z), Y conj(Z), |Z|^2), five
+integers over their gcd, is the same for every pair through a point
+since |Z|^2 > 0.  Fractions are built once per vertex; vertices sort on
+integer floors of their scaled coordinates.
 
 Arrangement documents are JSON:
 
@@ -31,7 +41,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -50,18 +60,43 @@ from .exact import GaussianRational, parse_coefficient
 
 @dataclass(frozen=True)
 class Line:
-    """a*x + b*y + c = 0 in canonical form."""
+    """a*x + b*y + c = 0 in canonical form, with its integer keys.
+
+    `triple` and `direction_key` (module docstring) are derived from the
+    coefficients when the line is built; they take no part in equality,
+    hashing or repr.
+    """
 
     a: GaussianRational
     b: GaussianRational
     c: GaussianRational
+    triple: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    direction_key: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        parts = (self.a.re, self.a.im, self.b.re, self.b.im, self.c.re, self.c.im)
+        scale = lcm(*(q.denominator for q in parts))
+        triple = tuple(q.numerator * (scale // q.denominator) for q in parts)
+        g = gcd(*triple[:4]) or 1
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "direction_key", tuple(k // g for k in triple[:4]))
 
     @classmethod
     def canonical(cls, a: GaussianRational, b: GaussianRational, c: GaussianRational) -> "Line":
+        """The line with its first nonzero coefficient among a, b scaled to 1.
+
+        A real scale divides each component by a Fraction; only a
+        non-real scale needs the Gaussian quotient.
+        """
         if a.is_zero and b.is_zero:
             raise ParseError("a line needs (a, b) != (0, 0)")
         scale = a if not a.is_zero else b
-        return cls(a / scale, b / scale, c / scale)
+        if scale.im:
+            return cls(a / scale, b / scale, c / scale)
+        if scale.re == 1:
+            return cls(a, b, c)
+        s = scale.re
+        return cls(*(GaussianRational(z.re / s, z.im / s) for z in (a, b, c)))
 
     @property
     def direction(self) -> tuple[GaussianRational, GaussianRational]:
@@ -93,14 +128,12 @@ class WeightedArrangement:
     @classmethod
     def build(cls, lines: list[Line], weights: list[int]) -> "WeightedArrangement":
         _validated_weights(weights, len(lines))
-        seen: dict[Line, int] = {}
+        seen: dict[tuple[int, ...], int] = {}
         for i, line in enumerate(lines):
-            if line in seen:
-                raise DuplicateLine(
-                    f"lines {seen[line]} and {i} canonicalize to {line}"
-                )
-            seen[line] = i
-        if len(lines) < 2 or len({line.direction for line in lines}) < 2:
+            first = seen.setdefault(line.triple, i)
+            if first != i:
+                raise DuplicateLine(f"lines {first} and {i} canonicalize to {line}")
+        if len(lines) < 2 or len({line.direction_key for line in lines}) < 2:
             raise NotEssential("need at least two non-parallel lines")
         if gcd(*weights) != 1:
             raise BadGcd(f"weights {weights} have gcd {gcd(*weights)} != 1")
@@ -259,13 +292,6 @@ class CombinatorialSummary:
         }
 
 
-def _gaussian_integer_triple(line: Line) -> tuple[int, ...]:
-    """(Re A, Im A, Re B, Im B, Re C, Im C) of the line scaled to integers."""
-    parts = (line.a.re, line.a.im, line.b.re, line.b.im, line.c.re, line.c.im)
-    scale = lcm(*(q.denominator for q in parts))
-    return tuple(q.numerator * (scale // q.denominator) for q in parts)
-
-
 def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     """Group all pairwise intersections into vertices and direction classes.
 
@@ -274,7 +300,7 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     """
     d = arr.d
     weights = arr.weights
-    triples = [_gaussian_integer_triple(line) for line in arr.lines]
+    triples = [line.triple for line in arr.lines]
 
     # Key: (X conj(Z), Y conj(Z), |Z|^2) over their gcd (module docstring).
     points: dict[tuple[int, int, int, int, int], set[int]] = {}
@@ -318,9 +344,11 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         for key in sorted(points, key=point_key)
     )
 
-    classes: dict[tuple[GaussianRational, GaussianRational], set[int]] = {}
+    classes: dict[tuple[int, ...], list[int]] = {}
     for i, line in enumerate(arr.lines):
-        classes.setdefault(line.direction, set()).add(i)
+        classes.setdefault(line.direction_key, []).append(i)
+    heads = [(arr.lines[members[0]].direction, members) for members in classes.values()]
+    heads.sort(key=lambda head: (*head[0][0].sort_key(), *head[0][1].sort_key()))
     directions = tuple(
         DirectionClass(
             direction=direction,
@@ -328,9 +356,7 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
             count=len(members),
             weight_sum=sum(weights[i] for i in members),
         )
-        for direction, members in sorted(
-            classes.items(), key=lambda item: (*item[0][0].sort_key(), *item[0][1].sort_key())
-        )
+        for direction, members in heads
     )
 
     histogram = dict(Counter(v.multiplicity for v in vertices))

@@ -3,13 +3,17 @@
 Commands: info, charpoly, zeta, bound, verify, census.  All output is
 UTF-8 JSON with lexicographically sorted keys.  Exit codes: 0 success
 (and --help), 1 invalid input, usage errors included (with a
-machine-readable error object), 2 internal invariant violation.
+machine-readable error object), 2 internal invariant violation, and
+EXIT_CLOSED_STDOUT when stdout is closed before the output is written
+(a reader such as `head` exited), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from functools import cache
 
@@ -20,6 +24,9 @@ from .errors import InputError, InternalCheckError, ParseError
 from .invariants import invariant_report
 from .localsys import LocalSystem, h1_upper_bound
 from .monodromy import charpoly_infinity, charpoly_zero_closed, zeta_at_zero
+
+EXIT_CLOSED_STDOUT = 141
+"""128 + SIGPIPE: the status a shell reports for a process that signal ended."""
 
 
 def _emit(payload: dict) -> None:
@@ -88,8 +95,12 @@ def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str |
     config = RunConfig(seed=seed, count=count, max_lines=max_lines, max_order=max_order)
 
     def written(stream):
+        chunk = io.StringIO()
         for row in run_census(config):
-            _emit_row(row.to_json(), stream)
+            _emit_row(row.to_json(), chunk)
+            if row.order == config.max_order:  # an arrangement's rows go out in one write
+                stream.write(chunk.getvalue())
+                chunk = io.StringIO()
             yield row
 
     if out is None:
@@ -172,7 +183,28 @@ def _parse_residues(text: str | None) -> list[int] | None:
         raise ParseError(f"bad residue list {text!r}") from exc
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so the final flush at exit cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "info":

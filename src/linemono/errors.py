@@ -48,6 +48,10 @@ class ExpandTooLarge(InputError):
     """A dense expansion would exceed EXPAND_LIMIT (degree times factor steps)."""
 
 
+class IndexTooLarge(InputError, ValueError):
+    """A factor index is above INDEX_LIMIT, so its divisors are not enumerated."""
+
+
 class WeightedNotSupported(InputError):
     """Operation is defined only for all-ones multiplicities."""
 

@@ -20,18 +20,23 @@ lists: [c0, c1, ...] means c0 + c1*t + ...
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from operator import sub
-from typing import Iterable, Mapping
 
-from .errors import ExpandTooLarge, NegativeExponent, NotPolynomial
+from .errors import ExpandTooLarge, IndexTooLarge, NegativeExponent, NotPolynomial
 from .exact import RootOfUnity
 
 EXPAND_LIMIT = 10**7
 """Largest D+ * S+ that FactoredUnityPoly.expand accepts (see the module doc)."""
 
+INDEX_LIMIT = 10**12
+"""Largest n whose divisors are enumerated: trial division up to sqrt(n)."""
+
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+    """All positive divisors of n, ascending; IndexTooLarge above INDEX_LIMIT."""
+    if n > INDEX_LIMIT:
+        raise IndexTooLarge(f"index {n} is above INDEX_LIMIT = {INDEX_LIMIT}")
     small, large = [], []
     i = 1
     while i * i <= n:
@@ -122,8 +127,25 @@ class FactoredUnityPoly:
     def has_negative_exponent(self) -> bool:
         return any(c < 0 for _, c in self._items)
 
+    def has_pole(self) -> bool:
+        """Whether some cyclotomic exponent eps_N = sum_{N | m} c_m is negative.
+
+        eps_N < 0 needs some c_m < 0 with N | m, so only the divisors of
+        indices with a negative exponent are tried, and a value with no
+        negative exponent enumerates no divisors at all.
+        """
+        for m, c in self._items:
+            if c < 0:
+                for n in divisors(m):
+                    if sum(c2 for m2, c2 in self._items if m2 % n == 0) < 0:
+                        return True
+        return False
+
     def to_cyclotomic(self) -> "CyclotomicExponents":
-        """Refactor over the cyclotomic basis: t^m - 1 = prod_{N|m} Phi_N."""
+        """Refactor over the cyclotomic basis: t^m - 1 = prod_{N|m} Phi_N.
+
+        Raises IndexTooLarge when an index is above INDEX_LIMIT.
+        """
         eps: dict[int, int] = {}
         for m, c in self._items:
             for n in divisors(m):
@@ -148,7 +170,9 @@ class FactoredUnityPoly:
         still be negative, e.g. {2: 1, 1: -1} expands to t + 1).  Raises
         ExpandTooLarge, before any coefficient list is built, when
         D+ * S+ exceeds EXPAND_LIMIT, and NotPolynomial when a division
-        leaves a remainder or would give a negative degree.
+        leaves a remainder or would give a negative degree.  The message
+        shows the cyclotomic form, or the factored form when an index is
+        above INDEX_LIMIT.
         """
         positive = [(m, c) for m, c in self._items if c > 0]
         degree = sum(m * c for m, c in positive)
@@ -166,7 +190,8 @@ class FactoredUnityPoly:
             for _ in range(-c):
                 out = _divide_exact(out, m)
                 if out is None:
-                    raise NotPolynomial(f"{self.to_cyclotomic()} has a pole; cannot expand")
+                    shown = self if self._items[-1][0] > INDEX_LIMIT else self.to_cyclotomic()
+                    raise NotPolynomial(f"{shown} has a pole; cannot expand")
         return out
 
     def __str__(self) -> str:

@@ -54,3 +54,33 @@ class TestBatteryCatchesCorruption:
         doctored = replace(cs, d_e=cs.d_e + 1)
         results = run_battery(doctored)
         assert not battery_passed(results)
+
+
+class TestFactoredComparisons:
+    def test_passing_battery_enumerates_no_divisors(
+        self, monkeypatch, eight_normal_crossing, weighted_triangle
+    ):
+        import linemono.factored
+
+        def refuse(n):
+            raise AssertionError(f"divisors({n}) enumerated on a passing battery")
+
+        monkeypatch.setattr(linemono.factored, "divisors", refuse)
+        for arr in (eight_normal_crossing, weighted_triangle):
+            assert battery_passed(run_battery(compute_combinatorics(arr)))
+
+    def test_failure_detail_shows_cyclotomic_forms(self, concurrent_four):
+        cs = compute_combinatorics(concurrent_four)
+        doctored = replace(
+            cs,
+            vertices=tuple(
+                replace(v, weight_sum=v.weight_sum + 2) if v.multiplicity == 3 else v
+                for v in cs.vertices
+            ),
+        )
+        failed = {r.name: r.detail for r in run_battery(doctored) if not r.passed}
+        assert failed == {"zeta-agreement": "zeta route Phi_1^5Phi_5, closed form Phi_1^5Phi_3"}
+
+    def test_passing_checks_have_empty_details(self, weighted_triangle):
+        results = run_battery(compute_combinatorics(weighted_triangle))
+        assert [r.detail for r in results] == [""] * len(results)

@@ -1,14 +1,18 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
+import io
 import json
+import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from linemono.cli import (
+    EXIT_CLOSED_STDOUT,
     build_parser,
     cmd_bound,
     cmd_census,
@@ -203,6 +207,26 @@ class TestCensusCommand:
             assert row["bound"] == min(row["N0"], row["NInfinity"])
             assert row["seed"] == 5
 
+    def test_one_write_per_arrangement(self, monkeypatch):
+        class Recorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(["census", "--seed", "3", "--count", "4", "--max-order", "5"]) == 0
+        rows = [text for text in recorder.writes if text.startswith('{"N0"')]
+        assert len(rows) == 4
+        assert all(text.count("\n") == 4 for text in rows)  # orders 2..5
+        assert [json.loads(line)["index"] for text in rows for line in text.splitlines()] == [
+            i for i in range(4) for _ in range(4)
+        ]
+
     def test_byte_identical_reruns(self, tmp_path):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
@@ -352,6 +376,65 @@ class TestSubprocessEntryPoint:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"] == "NotEssential"
+
+
+class TestClosedStdout:
+    """A reader that exits early (`linemono ... | head -1`) ends the run quietly."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", str(FIXTURES / "eight_line_normal_crossing.json")],
+            ["info", str(FIXTURES / "triangle.json")],
+            ["census", "--seed", "1", "--count", "50"],
+        ],
+    )
+    def test_subprocess(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "linemono.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CLOSED_STDOUT == 141
+        assert proc.stderr == ""
+
+    def test_in_process(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["info", str(FIXTURES / "triangle.json")]) == EXIT_CLOSED_STDOUT
+
+
+class TestHugeWeightVerify:
+    def test_weight_10_18_triangle(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "lines": [
+                        {"a": 1, "b": 0, "c": 0},
+                        {"a": 0, "b": 1, "c": 0},
+                        {"a": 1, "b": 1, "c": -1, "e": 10**18},
+                    ]
+                }
+            )
+        )
+        start = time.perf_counter()
+        code = main(["verify", str(path)])
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["allPassed"] is True
+        assert elapsed < 1, f"verify took {elapsed:.3f}s"
 
 
 @pytest.fixture

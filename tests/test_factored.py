@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from linemono import (
     EXPAND_LIMIT,
+    INDEX_LIMIT,
     CyclotomicExponents,
     ExpandTooLarge,
     FactoredUnityPoly,
+    IndexTooLarge,
     NegativeExponent,
     NotPolynomial,
     RootOfUnity,
@@ -21,6 +23,7 @@ from linemono import (
     gcd_factored,
 )
 from linemono.cli import main
+from linemono.factored import divisors
 
 from _oracles import (
     cyclotomic,
@@ -328,6 +331,75 @@ class TestExpandLimit:
         with pytest.raises(NotPolynomial):
             fp({2: 1, 1: -(10**18)}).expand()
         assert time.perf_counter() - start < 0.1
+
+
+exponent_maps = st.dictionaries(
+    st.integers(min_value=1, max_value=36),
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    max_size=5,
+)
+
+
+@st.composite
+def rewritten(draw, factors):
+    """Another factor list with the same merged map: exponents split and shuffled."""
+    pairs = []
+    for m, c in factors.items():
+        part = draw(st.integers(-3, 3))
+        pairs += [(m, part), (m, c - part)]
+    pairs += [(m, e) for m in draw(st.lists(st.integers(1, 36), max_size=2)) for e in (1, -1)]
+    return draw(st.permutations(pairs))
+
+
+class TestFactoredEquality:
+    """Equal merged exponent maps are exactly equal cyclotomic exponents."""
+
+    @given(exponent_maps, exponent_maps)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_cyclotomic_equality(self, a, b):
+        assert (fp(a) == fp(b)) == (fp(a).to_cyclotomic() == fp(b).to_cyclotomic())
+
+    @given(st.data(), exponent_maps)
+    @settings(max_examples=100, deadline=None)
+    def test_rewritten_products_are_equal(self, data, factors):
+        other = fp(data.draw(rewritten(factors)))
+        assert other == fp(factors)
+        assert other.to_cyclotomic() == fp(factors).to_cyclotomic()
+
+    @given(exponent_maps)
+    @settings(max_examples=200, deadline=None)
+    def test_has_pole_against_cyclotomic_exponents(self, factors):
+        value = fp(factors)
+        assert value.has_pole() == value.to_cyclotomic().has_negative_exponent()
+
+    def test_has_pole_enumerates_no_divisors_without_negative_exponents(self):
+        start = time.perf_counter()
+        assert not fp({1: 2, 10**18: 3}).has_pole()
+        assert time.perf_counter() - start < 0.1
+
+
+class TestIndexLimit:
+    def test_divisors_up_to_the_limit(self):
+        assert divisors(INDEX_LIMIT)[-2:] == [INDEX_LIMIT // 2, INDEX_LIMIT]
+        assert len(divisors(INDEX_LIMIT)) == 13 * 13  # 10^12 = 2^12 5^12
+
+    def test_divisors_above_the_limit_refused(self):
+        with pytest.raises(IndexTooLarge):
+            divisors(INDEX_LIMIT + 1)
+        with pytest.raises(IndexTooLarge):
+            fp({10**18: 1}).to_cyclotomic()
+
+    def test_pole_message_on_a_huge_index(self):
+        start = time.perf_counter()
+        with pytest.raises(NotPolynomial) as info:
+            fp({10**18: -1}).expand()
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == "(t^1000000000000000000-1)^-1 has a pole; cannot expand"
+
+    def test_pole_message_on_small_indices_is_cyclotomic(self):
+        with pytest.raises(NotPolynomial) as info:
+            fp({2: -1, 1: 1}).expand()
+        assert str(info.value) == "Phi_2^-1 has a pole; cannot expand"
 
 
 def triangle(path, weight):

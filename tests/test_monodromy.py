@@ -1,5 +1,7 @@
 """Characteristic polynomials and the stratified zeta pipeline."""
 
+import random
+import time
 from math import gcd
 
 import pytest
@@ -18,6 +20,7 @@ from linemono import (
     charpoly_zero_from_zeta,
     compute_combinatorics,
     local_zeta,
+    parse_arrangement,
     strata,
     zeta_at_zero,
 )
@@ -245,3 +248,41 @@ class TestAgainstDenseOracle:
         assert poly.root_multiplicity(RootOfUnity(1, order)) == root_multiplicity(
             dense, order
         )
+
+
+def weighted_grid(per_direction, seed):
+    """A 4-direction grid of 4 * per_direction lines with seeded weights 1..100."""
+    rng = random.Random(seed)
+    lines, weights = [], []
+    for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        for offset in range(-(per_direction // 2), per_direction - per_direction // 2):
+            lines.append({"a": a, "b": b, "c": offset, "e": rng.randint(1, 100)})
+    lines[0]["e"] = 1  # keeps the gcd of the weights 1
+    return parse_arrangement({"lines": lines})
+
+
+class TestOnePassZeta:
+    @given(arrangement_specs, st.lists(st.integers(1, 5), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_stratified_product(self, specs, raw_weights):
+        from linemono import WeightedArrangement
+
+        base = build_arrangement(specs)
+        weights = raw_weights[: base.d]
+        g = gcd(*weights)
+        cs = compute_combinatorics(
+            WeightedArrangement.build(list(base.lines), [w // g for w in weights])
+        )
+        product = FactoredUnityPoly.one()
+        for s in strata(cs):
+            product = product * (local_zeta(s).value ** s.euler)
+        assert zeta_at_zero(cs).value == product
+
+    def test_weighted_grid_d200(self):
+        cs = compute_combinatorics(weighted_grid(50, seed=5))
+        assert cs.d == 200 and len(cs.vertices) > 5000
+        start = time.perf_counter()
+        z = zeta_at_zero(cs)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.2, f"zeta took {elapsed:.3f}s"
+        assert charpoly_zero_from_zeta(z) == charpoly_zero_closed(cs)
