@@ -381,6 +381,7 @@ class TestSubprocessEntryPoint:
 class TestClosedStdout:
     """A reader that exits early (`linemono ... | head -1`) ends the run quietly."""
 
+    @pytest.mark.parametrize("buffered", [True, False])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -389,7 +390,11 @@ class TestClosedStdout:
             ["census", "--seed", "1", "--count", "50"],
         ],
     )
-    def test_subprocess(self, argv):
+    def test_subprocess(self, argv, buffered):
+        # Buffered, a small output reaches the pipe only when stdout is flushed.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
         try:
@@ -399,6 +404,7 @@ class TestClosedStdout:
                 stderr=subprocess.PIPE,
                 text=True,
                 timeout=60,
+                env=env,
             )
         finally:
             os.close(write_end)
