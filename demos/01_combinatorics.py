@@ -1,8 +1,10 @@
 """Parse the bundled arrangements and walk through their combinatorics.
 
 Everything downstream (characteristic polynomials, zeta functions, bounds)
-is a function of the data printed here: vertices with incident lines and
-weight sums, direction classes, and the multiplicity histogram.
+is a function of the data printed here: vertices with incident lines,
+direction classes, and the multiplicity histogram.  The summary stores no
+weights beyond the weight vector; each weight sum below is summed from it
+over a vertex's incident lines or a class's members.
 """
 
 from pathlib import Path
@@ -21,16 +23,17 @@ for name in (
 ):
     arr = load_arrangement(FIXTURES / name)
     cs = compute_combinatorics(arr)
+    w = cs.weights
     print(f"=== {name}")
-    print(f"  lines d={cs.d}, total weight d_e={cs.d_e}, weights={list(cs.weights)}")
+    print(f"  lines d={cs.d}, total weight d_e={sum(w)}, weights={list(w)}")
     print(f"  direction classes p={cs.p}: sizes {[g.count for g in cs.directions]}, "
-          f"weight sums {[g.weight_sum for g in cs.directions]}")
+          f"weight sums {[sum(w[i] for i in g.members) for g in cs.directions]}")
     print(f"  multiplicity histogram n_m = { {m: n for m, n in sorted(cs.histogram.items())} }")
     print(f"  vertices on each line v_j = {list(cs.line_vertex_counts)}")
     for v in cs.vertices[:4]:
         x, y = v.point
         print(f"    vertex ({x}, {y}): lines {sorted(v.incident)}, "
-              f"multiplicity {v.multiplicity}, weight sum {v.weight_sum}")
+              f"multiplicity {v.multiplicity}, weight sum {sum(w[i] for i in v.incident)}")
     if len(cs.vertices) > 4:
         print(f"    ... and {len(cs.vertices) - 4} more vertices")
     # the incidence double count ties the three views together

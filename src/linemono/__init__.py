@@ -23,10 +23,7 @@ from .census import (
     DIRECTIONS,
     CensusRow,
     RunConfig,
-    SplitMix64,
     draw_arrangement,
-    generate_arrangements,
-    random_weights,
     run_census,
     summarize,
 )
@@ -57,7 +54,6 @@ from .factored import (
     INDEX_LIMIT,
     CyclotomicExponents,
     FactoredUnityPoly,
-    euler_phi,
     gcd_factored,
 )
 from .invariants import (
@@ -76,11 +72,8 @@ from .localsys import (
     canonical_local_system,
     delta_f,
     h1_upper_bound,
-    vertex_mult_infinity,
-    vertex_mult_zero,
 )
 from .monodromy import (
-    StratumDescriptor,
     ZetaFunction,
     charpoly_infinity,
     charpoly_zero_closed,
@@ -125,8 +118,6 @@ __all__ = [
     "ParseError",
     "RootOfUnity",
     "RunConfig",
-    "SplitMix64",
-    "StratumDescriptor",
     "TrivialMonodromy",
     "Vertex",
     "WeightedArrangement",
@@ -142,9 +133,7 @@ __all__ = [
     "compute_combinatorics",
     "delta_f",
     "draw_arrangement",
-    "euler_phi",
     "gcd_factored",
-    "generate_arrangements",
     "genus_general_fiber",
     "h1_upper_bound",
     "infinity_singularity_mu",
@@ -154,12 +143,9 @@ __all__ = [
     "mu_arrangement",
     "numbers_identity",
     "parse_arrangement",
-    "random_weights",
     "run_battery",
     "run_census",
     "strata",
     "summarize",
-    "vertex_mult_infinity",
-    "vertex_mult_zero",
     "zeta_at_zero",
 ]

@@ -2,12 +2,15 @@
 
 A line is a*x + b*y + c = 0 with Gaussian-rational coefficients, stored in
 canonical form (first nonzero coefficient among a, b scaled to 1) so that
-equality of equations and parallelism are decidable by exact comparison.
+equality of equations and parallelism are decidable by exact comparison;
+`WeightedArrangement.build` rejects a line that is not canonical.
 The combinatorial summary collects everything the closed formulas consume:
-the vertices with their incident line sets and weight sums, the direction
-classes (the points at infinity, kept purely combinatorial), the vertex
-multiplicity histogram and per-line vertex counts.  No epsilon appears
-anywhere; coincidence of intersection points is exact.
+the vertices with their incident line sets, the direction classes (the
+points at infinity, kept purely combinatorial), the vertex multiplicity
+histogram and per-line vertex counts.  The geometry carries no weights:
+a weight sum d(I_v), d_j or d_E is summed from a weight vector (the
+arrangement's own, or local-system residues) where a formula uses it.
+No epsilon appears anywhere; coincidence of intersection points is exact.
 
 Each line carries integer keys, computed once when it is built: its
 triple (Re A, Im A, Re B, Im B, Re C, Im C), the canonical form scaled by
@@ -114,8 +117,8 @@ class Line:
 class WeightedArrangement:
     """Distinct canonical lines with positive integer multiplicities.
 
-    Invariants: d >= 2, at least two direction classes (essential), and
-    gcd of the weights equal to 1.
+    Invariants: every line canonical (`Line.canonical`), d >= 2, at least
+    two direction classes (essential), and gcd of the weights equal to 1.
     """
 
     lines: tuple[Line, ...]
@@ -130,6 +133,9 @@ class WeightedArrangement:
         _validated_weights(weights, len(lines))
         seen: dict[tuple[int, ...], int] = {}
         for i, line in enumerate(lines):
+            lead = line.b if line.a.is_zero else line.a
+            if lead.re != 1 or lead.im:
+                raise ParseError(f"line {i} is not canonical: {line}; use Line.canonical")
             first = seen.setdefault(line.triple, i)
             if first != i:
                 raise DuplicateLine(f"lines {first} and {i} canonicalize to {line}")
@@ -217,12 +223,11 @@ def load_arrangement(path) -> WeightedArrangement:
 
 @dataclass(frozen=True)
 class Vertex:
-    """An intersection point with its incident lines and weight sum."""
+    """An intersection point with its incident lines."""
 
     point: tuple[GaussianRational, GaussianRational]
     incident: frozenset[int]
     multiplicity: int
-    weight_sum: int
 
 
 @dataclass(frozen=True)
@@ -232,7 +237,6 @@ class DirectionClass:
     direction: tuple[GaussianRational, GaussianRational]
     members: frozenset[int]
     count: int
-    weight_sum: int
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,6 @@ class CombinatorialSummary:
     """All combinatorial data the invariant formulas consume."""
 
     d: int
-    d_e: int
     weights: tuple[int, ...]
     vertices: tuple[Vertex, ...]
     directions: tuple[DirectionClass, ...]
@@ -264,15 +267,16 @@ class CombinatorialSummary:
         return self.weights if weights is None else _validated_weights(weights, self.d)
 
     def to_json(self) -> dict:
+        weights = self.weights
         return {
             "d": self.d,
-            "dE": self.d_e,
+            "dE": sum(weights),
             "directions": [
                 {
                     "count": g.count,
                     "direction": [c.to_json() for c in g.direction],
                     "members": sorted(g.members),
-                    "weightSum": g.weight_sum,
+                    "weightSum": sum(weights[i] for i in g.members),
                 }
                 for g in self.directions
             ],
@@ -284,7 +288,7 @@ class CombinatorialSummary:
                     "incident": sorted(v.incident),
                     "multiplicity": v.multiplicity,
                     "point": [c.to_json() for c in v.point],
-                    "weightSum": v.weight_sum,
+                    "weightSum": sum(weights[i] for i in v.incident),
                 }
                 for v in self.vertices
             ],
@@ -299,7 +303,6 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     the summary is independent of input line order up to index relabeling.
     """
     d = arr.d
-    weights = arr.weights
     triples = [line.triple for line in arr.lines]
 
     # Key: (X conj(Z), Y conj(Z), |Z|^2) over their gcd (module docstring).
@@ -339,7 +342,6 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
             point=(coordinate(key[0], key[1], key[4]), coordinate(key[2], key[3], key[4])),
             incident=frozenset(points[key]),
             multiplicity=len(points[key]),
-            weight_sum=sum(weights[i] for i in points[key]),
         )
         for key in sorted(points, key=point_key)
     )
@@ -354,7 +356,6 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
             direction=direction,
             members=frozenset(members),
             count=len(members),
-            weight_sum=sum(weights[i] for i in members),
         )
         for direction, members in heads
     )
@@ -367,8 +368,7 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
 
     summary = CombinatorialSummary(
         d=d,
-        d_e=sum(weights),
-        weights=weights,
+        weights=arr.weights,
         vertices=vertices,
         directions=directions,
         histogram=histogram,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
 from typing import Iterable, Iterator
 
 from .arrangement import Line, WeightedArrangement, compute_combinatorics
@@ -86,19 +85,6 @@ def draw_arrangement(rng: SplitMix64, max_lines: int) -> WeightedArrangement:
             return WeightedArrangement.build(lines, [1] * count)
         except (DuplicateLine, NotEssential):
             continue
-
-
-def generate_arrangements(seed: int, count: int, max_lines: int) -> list[WeightedArrangement]:
-    """The first `count` accepted draws for this seed."""
-    rng = SplitMix64(seed)
-    return [draw_arrangement(rng, max_lines) for _ in range(count)]
-
-
-def random_weights(rng: SplitMix64, d: int, low: int = 1, high: int = 5) -> tuple[int, ...]:
-    """Weights drawn uniformly in [low, high], divided by their gcd."""
-    weights = [low + rng.below(high - low + 1) for _ in range(d)]
-    g = gcd(*weights)
-    return tuple(w // g for w in weights)
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,7 @@ def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
     results.append(
         _check(
             "direction-partition",
-            sorted(members) == list(range(cs.d))
-            and sum(g.weight_sum for g in cs.directions) == cs.d_e,
+            sorted(members) == list(range(cs.d)),
             lambda: "direction classes do not partition the lines",
         )
     )

@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Commands: info, charpoly, zeta, bound, verify, census.  All output is
-UTF-8 JSON with lexicographically sorted keys.  Exit codes: 0 success
-(and --help), 1 invalid input, usage errors included (with a
-machine-readable error object), 2 internal invariant violation, and
-EXIT_CLOSED_STDOUT when stdout is closed before the output is written
-(a reader such as `head` exited), with nothing on stderr.
+Commands: info, charpoly, zeta, bound, verify, census.  Each is one
+`cmd_*` function whose parameters are exactly its command-line arguments.
+All output is UTF-8 JSON with lexicographically sorted keys.  Exit codes:
+0 success (and --help), 1 invalid input, usage errors included (with a
+machine-readable error object), 2 internal invariant violation or a
+failed `verify` check, and EXIT_CLOSED_STDOUT when stdout is closed
+before the output is written (a reader such as `head` exited), with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -76,12 +78,9 @@ def cmd_bound(path: str, order: int, residues: list[int] | None) -> int:
     return 0
 
 
-def cmd_verify(path: str, summary_hook=None) -> int:
-    """Run the identity battery; summary_hook is a test-only summary doctor."""
-    summary = compute_combinatorics(load_arrangement(path))
-    if summary_hook is not None:
-        summary = summary_hook(summary)
-    results = run_battery(summary)
+def cmd_verify(path: str) -> int:
+    """Run the identity battery; exit 2 when a check fails."""
+    results = run_battery(compute_combinatorics(load_arrangement(path)))
     _emit(
         {
             "allPassed": battery_passed(results),

@@ -59,12 +59,6 @@ class GaussianRational:
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -129,13 +123,6 @@ class RootOfUnity:
         g = gcd(k, self.order)
         object.__setattr__(self, "k", k // g)
         object.__setattr__(self, "order", self.order // g)
-
-    @property
-    def is_one(self) -> bool:
-        return self.order == 1
-
-    def __str__(self) -> str:
-        return f"exp(2*pi*i*{self.k}/{self.order})"
 
     def to_json(self) -> dict:
         return {"k": self.k, "order": self.order}

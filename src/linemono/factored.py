@@ -254,9 +254,6 @@ class CyclotomicExponents:
     def __repr__(self) -> str:
         return f"CyclotomicExponents({dict(self._items)!r})"
 
-    def to_json(self) -> dict[str, int]:
-        return {str(n): e for n, e in self._items}
-
 
 def gcd_factored(a: FactoredUnityPoly, b: FactoredUnityPoly) -> CyclotomicExponents:
     """Greatest common divisor of two factored polynomials.

@@ -69,10 +69,12 @@ def genus_general_fiber(cs: CombinatorialSummary) -> int:
 def infinity_singularity_mu(cs: CombinatorialSummary, j: int) -> int:
     """Milnor number of the general fiber closure at the j-th point at infinity.
 
-    d_e(d_j - k_j) + d_j(k_j - 2) + 1; zero exactly at smooth points.
+    d_e(d_j - k_j) + d_j(k_j - 2) + 1 over the arrangement's own weights;
+    zero exactly at smooth points.
     """
     g = cs.directions[j]
-    return cs.d_e * (g.weight_sum - g.count) + g.weight_sum * (g.count - 2) + 1
+    d_j = sum(cs.weights[i] for i in g.members)
+    return sum(cs.weights) * (d_j - g.count) + d_j * (g.count - 2) + 1
 
 
 @dataclass(frozen=True)

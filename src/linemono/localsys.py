@@ -82,10 +82,6 @@ class LocalSystem:
         return cls.create(order, (1,) * d)
 
     @property
-    def equimonodromic(self) -> bool:
-        return len(set(self.residues)) == 1
-
-    @property
     def has_trivial(self) -> bool:
         """True when some line's monodromy is 1 (residue 0, or order 1)."""
         return self.order == 1 or any(r == 0 for r in self.residues)
@@ -99,13 +95,13 @@ class LocalSystem:
         return RootOfUnity(1, self.order)
 
 
-def canonical_local_system(monodromies, strict: bool = True) -> LocalSystem:
+def canonical_local_system(monodromies) -> LocalSystem:
     """Build the local system from monodromy fractions k_j/N_j in [0, 1).
 
     The order is the lcm of the denominators and each residue is the
     fraction scaled to it; minimality gcd(residues, order) = 1 then holds
     automatically.  A fraction 0 means that line's monodromy is 1, which
-    `strict` mode rejects.
+    is rejected (`TrivialMonodromy`).
     """
     try:
         fractions = [Fraction(m) for m in monodromies]
@@ -116,7 +112,7 @@ def canonical_local_system(monodromies, strict: bool = True) -> LocalSystem:
     for q in fractions:
         if not 0 <= q < 1:
             raise BadMonodromy(f"monodromy fraction {q} outside [0, 1)")
-    if strict and any(q == 0 for q in fractions):
+    if any(q == 0 for q in fractions):
         raise TrivialMonodromy("some monodromy equals 1")
     order = lcm(*(q.denominator for q in fractions))
     return LocalSystem.create(

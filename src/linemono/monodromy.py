@@ -76,7 +76,7 @@ def strata(cs: CombinatorialSummary) -> Iterator[StratumDescriptor]:
     for v in cs.vertices:
         yield StratumDescriptor(
             kind="vertex",
-            weight_sum=v.weight_sum,
+            weight_sum=sum(cs.weights[i] for i in v.incident),
             multiplicity=v.multiplicity,
             euler=1,
         )
@@ -151,10 +151,12 @@ def zeta_at_zero(cs: CombinatorialSummary) -> ZetaFunction:
     pass over the strata of `strata(cs)` written out: a vertex adds
     2 - m_v at d(I_v), the open piece of line j adds 1 - v_j at e_j.
     """
+    weights = cs.weights
     exponents: dict[int, int] = {}
     for v in cs.vertices:
-        exponents[v.weight_sum] = exponents.get(v.weight_sum, 0) + 2 - v.multiplicity
-    for e, count in zip(cs.weights, cs.line_vertex_counts):
+        d_v = sum(weights[i] for i in v.incident)
+        exponents[d_v] = exponents.get(d_v, 0) + 2 - v.multiplicity
+    for e, count in zip(weights, cs.line_vertex_counts):
         exponents[e] = exponents.get(e, 0) + 1 - count
     return ZetaFunction(FactoredUnityPoly(exponents))
 

@@ -177,8 +177,11 @@ class TestCombinatorics:
 
     def test_weight_sums(self, weighted_triangle):
         cs = compute_combinatorics(weighted_triangle)
-        assert cs.d_e == 4
-        assert sorted(v.weight_sum for v in cs.vertices) == [2, 3, 3]
+        assert sum(cs.weights) == 4
+        assert sorted(sum(cs.weights[i] for i in v.incident) for v in cs.vertices) == [2, 3, 3]
+        info = cs.to_json()
+        assert info["dE"] == 4
+        assert sorted(v["weightSum"] for v in info["vertices"]) == [2, 3, 3]
 
     def test_complex_coefficients(self):
         # x + iy, x - iy, x - 1/2, y + 2i: three direction classes,
@@ -251,7 +254,11 @@ class TestInvarianceProperties:
         members = sorted(i for g in cs.directions for i in g.members)
         assert members == list(range(cs.d))
         assert sum(g.count for g in cs.directions) == cs.d
-        assert sum(g.weight_sum for g in cs.directions) == cs.d_e
+        class_sums = [sum(cs.weights[i] for i in g.members) for g in cs.directions]
+        assert sum(class_sums) == sum(cs.weights)
+        info = cs.to_json()
+        assert [g["weightSum"] for g in info["directions"]] == class_sums
+        assert sum(class_sums) == info["dE"]
 
     @given(arrangement_specs, st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)

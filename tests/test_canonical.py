@@ -16,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linemono import DuplicateLine, GaussianRational, Line, NotEssential, WeightedArrangement
+from linemono import (
+    DuplicateLine,
+    GaussianRational,
+    Line,
+    NotEssential,
+    ParseError,
+    WeightedArrangement,
+)
 
 from _oracles import cdiv, cmul
 
@@ -162,3 +169,25 @@ class TestBuildDecisions:
         with pytest.raises(DuplicateLine) as info:
             WeightedArrangement.build(lines, [1, 1, 1])
         assert str(info.value) == "lines 0 and 2 canonicalize to (1)x + (0)y + (0) = 0"
+
+    def test_non_canonical_line_rejected(self):
+        # Unscaled, Line(2, 0, 0) is x = 0 again; accepted, it would pass the
+        # duplicate test and break the general-fiber b1 cross-check downstream.
+        one, two, zero = GaussianRational.of(1), GaussianRational.of(2), GaussianRational.of(0)
+        lines = [Line(two, zero, zero), Line(one, zero, zero), Line(zero, one, zero)]
+        with pytest.raises(ParseError) as info:
+            WeightedArrangement.build(lines, [1, 1, 1])
+        assert str(info.value) == (
+            "line 0 is not canonical: (2)x + (0)y + (0) = 0; use Line.canonical"
+        )
+        for lead in (GaussianRational.of(0, 1), GaussianRational.of(-1), zero):
+            with pytest.raises(ParseError, match="line 1 is not canonical"):
+                WeightedArrangement.build([lines[1], Line(zero, lead, one)], [1, 1])
+
+    @given(raw_lines())
+    @settings(max_examples=150, deadline=None)
+    def test_only_canonical_lines_accepted(self, raw):
+        line = Line(*(gaussian(z) for z in raw))
+        canonical = line == line_of(raw)
+        with pytest.raises(NotEssential if canonical else ParseError):
+            WeightedArrangement.build([line], [1])

@@ -8,16 +8,14 @@ from linemono import (
     Line,
     ParseError,
     RunConfig,
-    SplitMix64,
     battery_passed,
     compute_combinatorics,
     draw_arrangement,
-    generate_arrangements,
-    random_weights,
     run_battery,
     run_census,
     summarize,
 )
+from linemono.census import SplitMix64
 
 
 class TestSplitMix64:
@@ -52,13 +50,15 @@ class TestSplitMix64:
 
 class TestGenerator:
     def test_deterministic(self):
-        first = generate_arrangements(9, 20, 8)
-        second = generate_arrangements(9, 20, 8)
+        first, second = (
+            [draw_arrangement(rng, 8) for _ in range(20)] for rng in (SplitMix64(9), SplitMix64(9))
+        )
         assert [a.lines for a in first] == [a.lines for a in second]
         assert [a.weights for a in first] == [a.weights for a in second]
 
     def test_draws_are_valid_and_in_catalog(self):
-        for arr in generate_arrangements(3, 30, 8):
+        rng = SplitMix64(3)
+        for arr in (draw_arrangement(rng, 8) for _ in range(30)):
             assert 3 <= arr.d <= 8
             assert arr.weights == (1,) * arr.d
             assert len({line.direction for line in arr.lines}) >= 2
@@ -93,17 +93,10 @@ class TestGenerator:
             assert rng.state == replay.state
 
     def test_battery_passes_on_draws(self):
-        for arr in generate_arrangements(7, 25, 8):
+        rng = SplitMix64(7)
+        for _ in range(25):
+            arr = draw_arrangement(rng, 8)
             assert battery_passed(run_battery(compute_combinatorics(arr)))
-
-    def test_random_weights_gcd_one(self):
-        rng = SplitMix64(11)
-        from math import gcd
-
-        for _ in range(100):
-            weights = random_weights(rng, 5)
-            assert all(1 <= w <= 5 for w in weights)
-            assert gcd(*weights) == 1
 
 
 class TestRunConfig:

@@ -2,7 +2,14 @@
 
 from dataclasses import replace
 
-from linemono import battery_passed, compute_combinatorics, run_battery
+from linemono import (
+    FactoredUnityPoly,
+    ZetaFunction,
+    battery_passed,
+    compute_combinatorics,
+    run_battery,
+    zeta_at_zero,
+)
 
 
 def names(results):
@@ -50,10 +57,14 @@ class TestBatteryCatchesCorruption:
         assert "incidence-count" in failed_names(results)
 
     def test_doctored_total_weight(self, weighted_triangle):
+        # a class that loses a member drops that line's weight from the total
         cs = compute_combinatorics(weighted_triangle)
-        doctored = replace(cs, d_e=cs.d_e + 1)
+        first, *rest = cs.directions
+        lost = replace(first, members=first.members - {min(first.members)})
+        doctored = replace(cs, directions=(lost, *rest))
         results = run_battery(doctored)
         assert not battery_passed(results)
+        assert "direction-partition" in failed_names(results)
 
 
 class TestFactoredComparisons:
@@ -69,16 +80,14 @@ class TestFactoredComparisons:
         for arr in (eight_normal_crossing, weighted_triangle):
             assert battery_passed(run_battery(compute_combinatorics(arr)))
 
-    def test_failure_detail_shows_cyclotomic_forms(self, concurrent_four):
+    def test_failure_detail_shows_cyclotomic_forms(self, monkeypatch, concurrent_four):
+        import linemono.checks
+
+        # the zeta route reads the triple point's weight sum 3 as 5
         cs = compute_combinatorics(concurrent_four)
-        doctored = replace(
-            cs,
-            vertices=tuple(
-                replace(v, weight_sum=v.weight_sum + 2) if v.multiplicity == 3 else v
-                for v in cs.vertices
-            ),
-        )
-        failed = {r.name: r.detail for r in run_battery(doctored) if not r.passed}
+        doctored = ZetaFunction(zeta_at_zero(cs).value * FactoredUnityPoly({3: 1, 5: -1}))
+        monkeypatch.setattr(linemono.checks, "zeta_at_zero", lambda summary: doctored)
+        failed = {r.name: r.detail for r in run_battery(cs) if not r.passed}
         assert failed == {"zeta-agreement": "zeta route Phi_1^5Phi_5, closed form Phi_1^5Phi_3"}
 
     def test_passing_checks_have_empty_details(self, weighted_triangle):

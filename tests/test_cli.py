@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from linemono import compute_combinatorics
 from linemono.cli import (
     EXIT_CLOSED_STDOUT,
     build_parser,
@@ -180,13 +181,17 @@ class TestVerify:
             assert payload["allPassed"] is True, name
             assert all(c["passed"] for c in payload["checks"])
 
-    def test_corrupted_summary_exits_two(self, capsys, triangle_file):
-        def corrupt(summary):
+    def test_corrupted_summary_exits_two(self, capsys, monkeypatch, triangle_file):
+        import linemono.cli
+
+        def corrupt(arr):
+            summary = compute_combinatorics(arr)
             histogram = dict(summary.histogram)
             histogram[2] = histogram.get(2, 0) + 1
             return replace(summary, histogram=histogram)
 
-        code = cmd_verify(triangle_file, summary_hook=corrupt)
+        monkeypatch.setattr(linemono.cli, "compute_combinatorics", corrupt)
+        code = cmd_verify(triangle_file)
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["allPassed"] is False

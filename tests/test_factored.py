@@ -19,11 +19,10 @@ from linemono import (
     NegativeExponent,
     NotPolynomial,
     RootOfUnity,
-    euler_phi,
     gcd_factored,
 )
 from linemono.cli import main
-from linemono.factored import divisors
+from linemono.factored import divisors, euler_phi
 
 from _oracles import (
     cyclotomic,

@@ -102,7 +102,11 @@ class TestAgainstOracle:
             (_pair(g.direction[0]), _pair(g.direction[1])): sorted(g.members)
             for g in cs.directions
         } == oracle["class_members"]
-        assert {_point(v): v.weight_sum for v in cs.vertices} == oracle["vertex_weight_sums"]
+        info = cs.to_json()
+        assert {
+            _point(v): row["weightSum"] for v, row in zip(cs.vertices, info["vertices"])
+        } == oracle["vertex_weight_sums"]
+        assert info["dE"] == oracle["d_e"]
 
         keys = [_sort_key(v) for v in cs.vertices]
         assert keys == sorted(keys)

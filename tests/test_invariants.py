@@ -110,7 +110,7 @@ class TestInfinityMu:
             for j in range(cs.p)
         }
         by_weight = {
-            g.weight_sum: infinity_singularity_mu(cs, j)
+            sum(cs.weights[i] for i in g.members): infinity_singularity_mu(cs, j)
             for j, g in enumerate(cs.directions)
         }
         # the weight-2 line alone in its class: 4*1 + 2*(-1) + 1 = 3

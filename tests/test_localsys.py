@@ -21,9 +21,8 @@ from linemono import (
     compute_combinatorics,
     delta_f,
     h1_upper_bound,
-    vertex_mult_infinity,
-    vertex_mult_zero,
 )
+from linemono.localsys import vertex_mult_infinity, vertex_mult_zero
 
 from test_arrangement import arrangement_specs, build_arrangement
 
@@ -39,7 +38,6 @@ class TestCanonicalLocalSystem:
         assert ls.order == 3
         assert ls.residues == (2, 2)
         assert ls.residues_gcd == 2
-        assert ls.equimonodromic
 
     def test_mixed_denominators(self):
         ls = canonical_local_system([Fraction(1, 2), Fraction(1, 3)])
@@ -49,11 +47,6 @@ class TestCanonicalLocalSystem:
     def test_strict_mode_rejects_trivial(self):
         with pytest.raises(TrivialMonodromy):
             canonical_local_system([Fraction(0), Fraction(1, 2)])
-
-    def test_non_strict_keeps_flagged_trivial(self):
-        ls = canonical_local_system([Fraction(0), Fraction(1, 2)], strict=False)
-        assert ls.has_trivial
-        assert ls.residues == (0, 1)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from linemono import (
     FactoredUnityPoly,
     LengthMismatch,
     RootOfUnity,
-    StratumDescriptor,
     betti1_general_fiber,
     charpoly_infinity,
     charpoly_zero_closed,
@@ -24,6 +23,7 @@ from linemono import (
     strata,
     zeta_at_zero,
 )
+from linemono.monodromy import StratumDescriptor
 
 from _oracles import brute_combinatorics, expand_factored, root_multiplicity
 from test_arrangement import DIRECTION_POOL, arrangement_specs, build_arrangement
