@@ -179,7 +179,7 @@ def parse_arrangement(document: str | bytes | dict) -> WeightedArrangement:
                 parse_float=_reject_float,
                 parse_constant=_reject_float,
             )
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         except ValueError as exc:  # an integer literal over the interpreter's digit limit
             raise ParseError(f"integer literal: {exc}") from exc
@@ -217,8 +217,12 @@ def parse_arrangement(document: str | bytes | dict) -> WeightedArrangement:
 
 
 def load_arrangement(path) -> WeightedArrangement:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_arrangement(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8 text: {exc}") from exc
+    return parse_arrangement(text)
 
 
 @dataclass(frozen=True)

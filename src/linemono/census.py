@@ -31,7 +31,7 @@ from .arrangement import Line, WeightedArrangement, compute_combinatorics
 from .checks import battery_passed, run_battery
 from .errors import DuplicateLine, InternalCheckError, NotEssential, ParseError
 from .exact import GaussianRational
-from .localsys import LocalSystem, bound_from_summary
+from .localsys import bound_spectrum
 
 _MASK64 = (1 << 64) - 1
 
@@ -146,8 +146,7 @@ def run_census(config: RunConfig) -> Iterator[CensusRow]:
             failed = [r.name for r in results if not r.passed]
             raise InternalCheckError(f"draw {index} failed checks: {failed}")
         digest = tuple(line.coeff_string() for line in arr.lines)
-        for order in range(2, config.max_order + 1):
-            report = bound_from_summary(cs, LocalSystem.equimonodromical(order, arr.d))
+        for report in bound_spectrum(cs, (1,) * cs.d, range(2, config.max_order + 1)):
             if report.n0 < report.n_infinity:
                 tighter = "zero"
             elif report.n_infinity < report.n0:
@@ -161,7 +160,7 @@ def run_census(config: RunConfig) -> Iterator[CensusRow]:
                 d=cs.d,
                 p=cs.p,
                 histogram=cs.histogram,
-                order=order,
+                order=report.a.order,
                 n0=report.n0,
                 n_infinity=report.n_infinity,
                 bound=report.bound,

@@ -9,7 +9,11 @@ infinity built with weights e.  The polynomial multiplicities are the
 ground truth; the combinatorial vertex sums are computed alongside and
 cross-checked, except at infinity when N divides the total weight, where
 the vertex sum does not capture the (t^{d_e} - 1)^{p-2} contribution and
-is reported as unavailable instead.
+is reported as unavailable instead.  `bound_spectrum` serves many orders
+with the same residues from one pair of polynomials and one pass over the
+vertices and classes (the census uses it once per draw); a single bound
+is its one-order case.  `vertex_mult_zero` and `vertex_mult_infinity` are
+the per-order reference sums.
 """
 
 from __future__ import annotations
@@ -187,37 +191,44 @@ class BoundReport:
         }
 
 
+def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundReport]:
+    """Bound reports for each order N in `orders`, with `residues` as weights.
+
+    Equals [bound_from_summary(cs, LocalSystem(N, residues)) for N in orders]
+    whenever each such local system is valid and nontrivial.  The two
+    characteristic polynomials and the vertex and class residue sums are
+    built once; each order is then a few divisibility sums.
+    """
+    zero = charpoly_zero_closed(cs, residues)
+    infinity = charpoly_infinity(cs, residues)
+    d_e = sum(residues)
+    vertices = [(sum(residues[i] for i in v.incident), v.multiplicity - 2) for v in cs.vertices]
+    classes = [(d_e - sum(residues[i] for i in g.members), g.count - 1) for g in cs.directions]
+    reports = []
+    for n in orders:
+        a = RootOfUnity(1, n)
+        n0 = zero.root_multiplicity(a)
+        n_inf = infinity.root_multiplicity(a)
+        hits = [c for s, c in vertices if s % n == 0]
+        vsz = sum(hits)
+        if vsz != n0:
+            raise InternalCheckError(f"vertex sum {vsz} != polynomial multiplicity {n0}")
+        if d_e % n == 0:
+            vsi = None
+        else:
+            vsi = sum(c for s, c in classes if s % n == 0)
+            if vsi != n_inf:
+                raise InternalCheckError(
+                    f"infinity vertex sum {vsi} != polynomial multiplicity {n_inf}"
+                )
+        reports.append(BoundReport(a, n0, n_inf, min(n0, n_inf), vsz, vsi, True, not hits))
+    return reports
+
+
 def bound_from_summary(cs: CombinatorialSummary, ls: LocalSystem) -> BoundReport:
     """Bound computation on a precomputed summary, with the residues as weights."""
     _require_nontrivial(cs, ls)
-    a = ls.eigenvalue()
-    n0 = charpoly_zero_closed(cs, ls.residues).root_multiplicity(a)
-    n_inf = charpoly_infinity(cs, ls.residues).root_multiplicity(a)
-
-    vsz = vertex_mult_zero(cs, ls)
-    if vsz != n0:
-        raise InternalCheckError(f"vertex sum {vsz} != polynomial multiplicity {n0}")
-    if sum(ls.residues) % ls.order == 0:
-        vsi = None
-    else:
-        vsi = vertex_mult_infinity(cs, ls)
-        if vsi != n_inf:
-            raise InternalCheckError(
-                f"infinity vertex sum {vsi} != polynomial multiplicity {n_inf}"
-            )
-
-    return BoundReport(
-        a=a,
-        n0=n0,
-        n_infinity=n_inf,
-        bound=min(n0, n_inf),
-        vertex_sum_zero=vsz,
-        vertex_sum_infinity=vsi,
-        all_lambda_nontrivial=True,
-        normal_crossing_shortcut=not any(
-            sum(ls.residues[i] for i in v.incident) % ls.order == 0 for v in cs.vertices
-        ),
-    )
+    return bound_spectrum(cs, ls.residues, (ls.order,))[0]
 
 
 def h1_upper_bound(arr: WeightedArrangement, ls: LocalSystem) -> BoundReport:

@@ -448,23 +448,38 @@ class TestHugeWeightVerify:
         assert elapsed < 1, f"verify took {elapsed:.3f}s"
 
 
+def count_calls(monkeypatch, home, *names):
+    """Record calls to `home.<name>` made through any linemono module's binding."""
+    calls = []
+    for attr in names:
+        original = getattr(home, attr)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "linemono" and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 @pytest.fixture
 def combinatorics_calls(monkeypatch):
     """Count compute_combinatorics calls made through any module's binding."""
     import linemono.arrangement
 
-    original = linemono.arrangement.compute_combinatorics
-    calls = []
+    return count_calls(monkeypatch, linemono.arrangement, "compute_combinatorics")
 
-    def counted(arr):
-        calls.append(arr)
-        return original(arr)
 
-    for name, module in list(sys.modules.items()):
-        bound = getattr(module, "compute_combinatorics", None)
-        if name.split(".")[0] == "linemono" and bound is original:
-            monkeypatch.setattr(module, "compute_combinatorics", counted)
-    return calls
+@pytest.fixture
+def charpoly_calls(monkeypatch):
+    """Count builds of either closed characteristic polynomial."""
+    import linemono.monodromy
+
+    return count_calls(
+        monkeypatch, linemono.monodromy, "charpoly_zero_closed", "charpoly_infinity"
+    )
 
 
 class TestOneGeometryPass:
@@ -489,4 +504,12 @@ class TestOneGeometryPass:
     def test_once_per_census_draw(self, capsys, combinatorics_calls):
         assert main(["census", "--seed", "1", "--count", "20"]) == 0
         assert len(combinatorics_calls) == 20
+        capsys.readouterr()
+
+
+class TestOneSpectrumPerDraw:
+    def test_four_charpolys_per_census_draw(self, capsys, charpoly_calls):
+        """Two for the battery and two for the bound spectrum of all orders."""
+        assert main(["census", "--seed", "1", "--count", "20", "--max-order", "24"]) == 0
+        assert len(charpoly_calls) == 4 * 20
         capsys.readouterr()
