@@ -37,7 +37,6 @@ from .errors import (
     DuplicateLine,
     ExpandTooLarge,
     IndexTooLarge,
-    InfinityMonodromyTrivial,
     InputError,
     InternalCheckError,
     LengthMismatch,
@@ -105,7 +104,6 @@ __all__ = [
     "GaussianRational",
     "INDEX_LIMIT",
     "IndexTooLarge",
-    "InfinityMonodromyTrivial",
     "InputError",
     "InternalCheckError",
     "InvariantReport",

@@ -53,6 +53,7 @@ from .errors import (
     BadGcd,
     BadWeight,
     DuplicateLine,
+    FileError,
     InternalCheckError,
     LengthMismatch,
     NotEssential,
@@ -222,6 +223,8 @@ def load_arrangement(path) -> WeightedArrangement:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"file is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise FileError(str(exc)) from exc
     return parse_arrangement(text)
 
 

@@ -22,7 +22,7 @@ from functools import cache
 from .arrangement import compute_combinatorics, load_arrangement
 from .census import RunConfig, run_census, summarize
 from .checks import battery_passed, run_battery
-from .errors import InputError, InternalCheckError, ParseError
+from .errors import FileError, InputError, InternalCheckError, NumberTooLong, ParseError
 from .invariants import invariant_report
 from .localsys import LocalSystem, h1_upper_bound
 from .monodromy import charpoly_infinity, charpoly_zero_closed, zeta_at_zero
@@ -105,8 +105,11 @@ def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str |
     if out is None:
         summary = summarize(config, written(sys.stdout))
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as stream:
-            summary = summarize(config, written(stream))
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as stream:
+                summary = summarize(config, written(stream))
+        except OSError as exc:
+            raise FileError(str(exc)) from exc
     _emit(summary)
     return 0
 
@@ -173,6 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_residues(argv: list[str]) -> list[str]:
+    """`--residues VALUE` (or `--res VALUE`) as one token: argparse reads -1,1,1 as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and len(out[-1]) > 2 and "--residues".startswith(out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse_residues(text: str | None) -> list[int] | None:
     if text is None:
         return None
@@ -204,8 +218,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_residues(argv))
         if args.command == "info":
             return cmd_info(args.file)
         if args.command == "charpoly":
@@ -227,8 +242,12 @@ def _run(argv: list[str] | None) -> int:
     except InternalCheckError as exc:
         _emit({"error": "InternalCheckError", "message": str(exc)})
         return 2
-    except (OSError, ValueError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # CPython's int-to-text digit limit
+            raise
+        limit = sys.get_int_max_str_digits()
+        error = NumberTooLong(f"a number to be written out has more than {limit} digits")
+        _emit({"error": error.code, "message": str(error)})
         return 1
 
 

@@ -20,6 +20,14 @@ class ParseError(InputError):
     """Document does not conform to the arrangement grammar."""
 
 
+class FileError(InputError):
+    """An input or output file cannot be opened or read; the message is the system's."""
+
+
+class NumberTooLong(InputError):
+    """A number to be written out has more digits than the interpreter's limit."""
+
+
 class DuplicateLine(InputError):
     """Two lines canonicalize to the same equation."""
 
@@ -58,12 +66,6 @@ class WeightedNotSupported(InputError):
 
 class TrivialMonodromy(InputError):
     """Some local-system monodromy equals 1 where nontriviality is required."""
-
-
-class InfinityMonodromyTrivial(InputError):
-    """The local-system order divides the total weight, so the monodromy
-    about the line at infinity is trivial and the vertex-sum shortcut at
-    infinity does not apply."""
 
 
 class LengthMismatch(InputError):

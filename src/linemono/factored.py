@@ -48,21 +48,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
-    result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 def _divide_exact(p: list[int], m: int) -> list[int] | None:
     """p / (t^m - 1), or None when that is not a polynomial.
 
@@ -95,10 +80,6 @@ class FactoredUnityPoly:
                 raise ValueError(f"factor index must be >= 1, got {m}")
             merged[m] = merged.get(m, 0) + c
         self._items = tuple(sorted((m, c) for m, c in merged.items() if c != 0))
-
-    @classmethod
-    def one(cls) -> "FactoredUnityPoly":
-        return cls()
 
     @property
     def factors(self) -> dict[int, int]:
@@ -234,15 +215,9 @@ class CyclotomicExponents:
     def __hash__(self) -> int:
         return hash(self._items)
 
-    def degree(self) -> int:
-        return sum(euler_phi(n) * e for n, e in self._items)
-
     def multiplicity(self, root: RootOfUnity) -> int:
         """Exponent of the cyclotomic factor whose roots include `root`."""
         return dict(self._items).get(root.order, 0)
-
-    def has_negative_exponent(self) -> bool:
-        return any(e < 0 for _, e in self._items)
 
     def __str__(self) -> str:
         if not self._items:

@@ -12,8 +12,7 @@ the vertex sum does not capture the (t^{d_e} - 1)^{p-2} contribution and
 is reported as unavailable instead.  `bound_spectrum` serves many orders
 with the same residues from one pair of polynomials and one pass over the
 vertices and classes (the census uses it once per draw); a single bound
-is its one-order case.  `vertex_mult_zero` and `vertex_mult_infinity` are
-the per-order reference sums.
+is its one-order case.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .errors import (
     BadMonodromy,
     BadOrder,
     BadResidues,
-    InfinityMonodromyTrivial,
     InternalCheckError,
     LengthMismatch,
     TrivialMonodromy,
@@ -95,9 +93,6 @@ class LocalSystem:
         """gcd of the residues alone; can exceed 1 even at minimal order."""
         return gcd(*self.residues)
 
-    def eigenvalue(self) -> RootOfUnity:
-        return RootOfUnity(1, self.order)
-
 
 def canonical_local_system(monodromies) -> LocalSystem:
     """Build the local system from monodromy fractions k_j/N_j in [0, 1).
@@ -130,39 +125,6 @@ def _require_nontrivial(cs: CombinatorialSummary, ls: LocalSystem) -> None:
     if ls.has_trivial:
         trivial = [i for i, r in enumerate(ls.residues) if r % ls.order == 0]
         raise TrivialMonodromy(f"monodromy is 1 on lines {trivial or 'all'}")
-
-
-def vertex_mult_zero(cs: CombinatorialSummary, ls: LocalSystem) -> int:
-    """sum (m_v - 2) over vertices whose residue sum is divisible by the order.
-
-    This is the multiplicity of exp(2*pi*i/N) in the characteristic
-    polynomial about zero built with weights equal to the residues.
-    """
-    _require_nontrivial(cs, ls)
-    return sum(
-        v.multiplicity - 2
-        for v in cs.vertices
-        if sum(ls.residues[i] for i in v.incident) % ls.order == 0
-    )
-
-
-def vertex_mult_infinity(cs: CombinatorialSummary, ls: LocalSystem) -> int:
-    """sum (k_j - 1) over direction classes with d_e - d_j divisible by the order.
-
-    d_e and d_j are residue sums.  Requires the monodromy about the line
-    at infinity to be nontrivial (order not dividing the total residue
-    sum); otherwise the sum misses the (t^{d_e} - 1)^{p-2} contribution
-    and the polynomial multiplicity is the only honest answer.
-    """
-    _require_nontrivial(cs, ls)
-    d_e = sum(ls.residues)
-    if d_e % ls.order == 0:
-        raise InfinityMonodromyTrivial(f"order {ls.order} divides total weight {d_e}")
-    return sum(
-        g.count - 1
-        for g in cs.directions
-        if (d_e - sum(ls.residues[i] for i in g.members)) % ls.order == 0
-    )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ Nothing here imports the package under test.  Polynomials are ascending
 Fraction coefficient lists; cyclotomic polynomials come from the Moebius
 product (the package expands (t^m - 1) factors and never builds them);
 arrangement combinatorics is redone from scratch over pairs of Fractions.
+The per-order vertex and class sums read a summary and a local system by
+their attributes alone, one order at a time.
 """
 
 from fractions import Fraction
@@ -66,6 +68,21 @@ def moebius(n):
         p += 1
     if n > 1:
         result = -result
+    return result
+
+
+def euler_phi(n):
+    """Euler's totient, by trial-division factorization."""
+    result = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
     return result
 
 
@@ -222,3 +239,29 @@ def brute_combinatorics(lines, weights=None):
             sum(1 for incident in points.values() if i in incident) for i in range(d)
         ],
     }
+
+
+def vertex_mult_zero(cs, ls):
+    """sum (m_v - 2) over vertices whose residue sum the order divides."""
+    return sum(
+        v.multiplicity - 2
+        for v in cs.vertices
+        if sum(ls.residues[i] for i in v.incident) % ls.order == 0
+    )
+
+
+def vertex_mult_infinity(cs, ls):
+    """sum (k_j - 1) over direction classes with d_e - d_j divisible by the order.
+
+    d_e and d_j are residue sums.  None when the order divides d_e: the
+    monodromy about the line at infinity is then trivial and the sum
+    misses the (t^{d_e} - 1)^{p-2} factor.
+    """
+    d_e = sum(ls.residues)
+    if d_e % ls.order == 0:
+        return None
+    return sum(
+        g.count - 1
+        for g in cs.directions
+        if (d_e - sum(ls.residues[i] for i in g.members)) % ls.order == 0
+    )

@@ -1,7 +1,8 @@
 """The public API: `linemono.__all__` against itself and against the README.
 
-README.md lists the exports in its "Public API" section; a name added to
-or dropped from `__all__` must be added to or dropped from that list too.
+README.md lists the exports in its "Public API" section, and states how
+many there are; a name added to or dropped from `__all__` must be added
+to or dropped from that list, and the count changed with it.
 """
 
 import re
@@ -31,3 +32,9 @@ def test_every_name_resolves():
 
 def test_readme_lists_exactly_the_exports():
     assert readme_api() == linemono.__all__
+
+
+def test_readme_states_the_export_count():
+    text = README.read_text(encoding="utf-8")
+    (count,) = re.findall(r"exports exactly these (\d+) names", text)
+    assert int(count) == len(linemono.__all__)

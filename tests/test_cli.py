@@ -99,7 +99,52 @@ class TestInfo:
     def test_missing_file(self, capsys):
         assert main(["info", "/nonexistent/arr.json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["error"] == "FileNotFoundError"
+        assert payload["error"] == "FileError"
+        assert "No such file or directory" in payload["message"]
+
+    def test_directory_path(self, capsys):
+        assert main(["info", str(FIXTURES)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "FileError"
+        assert "Is a directory" in payload["message"]
+
+
+class TestNumberTooLong:
+    """A derived number over the 4300-digit text limit is a typed error where it is shown."""
+
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"lines": lines}))
+        return str(path)
+
+    def test_vertex_coordinate(self, capsys, tmp_path):
+        big = 10**4199 + 12345  # each literal has 4200 digits; x at the vertex has about 8400
+        path = self._write(
+            tmp_path,
+            [{"a": 1, "b": str(big), "c": 1}, {"a": 1, "b": str(big + 1), "c": str(big)}],
+        )
+        assert main(["info", path]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "error": "NumberTooLong",
+            "message": "a number to be written out has more than 4300 digits",
+        }
+        for command in ("verify", "zeta"):
+            assert main([command, path]) == 0
+            assert "error" not in json.loads(capsys.readouterr().out)
+
+    def test_factor_index(self, capsys, tmp_path):
+        weight = 9 * 10**4299  # two such weights sum to a 4301-digit factor index
+        path = self._write(
+            tmp_path,
+            [
+                {"a": 1, "b": 0, "c": 0},
+                {"a": 0, "b": 1, "c": 0, "e": weight},
+                {"a": 1, "b": 1, "c": 1, "e": weight},
+            ],
+        )
+        assert main(["charpoly", path, "--at", "zero"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "NumberTooLong"
 
 
 class TestCharpoly:
@@ -243,6 +288,13 @@ class TestCensusCommand:
         assert main(["census", "--seed", "1", "--count", "0"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ParseError"
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "rows.jsonl"
+        assert main(["census", "--count", "1", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "FileError"
+        assert "No such file or directory" in payload["message"]
 
     def test_stable_key_ordering(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"

@@ -22,11 +22,12 @@ from linemono import (
     gcd_factored,
 )
 from linemono.cli import main
-from linemono.factored import divisors, euler_phi
+from linemono.factored import divisors
 
 from _oracles import (
     cyclotomic,
     divmod_factored,
+    euler_phi,
     expand_factored,
     moebius,
     pmul,
@@ -65,7 +66,7 @@ class TestMultiply:
 
     def test_one_is_identity(self):
         value = fp({2: 3, 5: -1})
-        assert value * FactoredUnityPoly.one() == value
+        assert value * FactoredUnityPoly() == value
 
 
 class TestDegree:
@@ -153,7 +154,7 @@ class TestExpand:
             fp({2: 1, 1: -2}).expand()  # cyclotomic exponent of Phi_1 is -1
 
     def test_empty_product_is_one(self):
-        assert FactoredUnityPoly.one().expand() == [1]
+        assert FactoredUnityPoly().expand() == [1]
 
 
 class TestCyclotomicPoly:
@@ -264,12 +265,12 @@ class TestCarrierBasics:
         assert fp({4: -1, 1: 2}).to_json() == {"1": 2, "4": -1}
 
     def test_str_forms(self):
-        assert str(FactoredUnityPoly.one()) == "1"
+        assert str(FactoredUnityPoly()) == "1"
         assert str(fp({1: 1, 3: 2})) == "(t-1)(t^3-1)^2"
 
     def test_cyclotomic_carrier(self):
         value = CyclotomicExponents({1: 2, 3: 1})
-        assert value.degree() == 2 + 2
+        assert sum(euler_phi(n) * e for n, e in value.exponents.items()) == 2 + 2
         assert value.multiplicity(RootOfUnity(1, 3)) == 1
         assert value.multiplicity(RootOfUnity(1, 5)) == 0
         assert value == fp({1: 1, 3: 1}).to_cyclotomic()
@@ -369,7 +370,7 @@ class TestFactoredEquality:
     @settings(max_examples=200, deadline=None)
     def test_has_pole_against_cyclotomic_exponents(self, factors):
         value = fp(factors)
-        assert value.has_pole() == value.to_cyclotomic().has_negative_exponent()
+        assert value.has_pole() == any(e < 0 for e in value.to_cyclotomic().exponents.values())
 
     def test_has_pole_enumerates_no_divisors_without_negative_exponents(self):
         start = time.perf_counter()

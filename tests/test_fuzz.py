@@ -5,7 +5,9 @@ mix valid lines with malformed values, keys and JSON text (truncated,
 spliced, deeply nested, not UTF-8).  `parse_arrangement` must return an
 arrangement or raise an `InputError`; `main` must exit 0 or 1 with one
 JSON object on stdout, and on exit 1 the error code must name an
-`InputError` subclass.
+`InputError` subclass.  On a document that parses, `bound` with integer
+`--order` and `--residues` values, negative ones included, is never a
+`ParseError`.
 """
 
 import io
@@ -106,6 +108,14 @@ def _input_error_name(code: str) -> bool:
     return isinstance(cls, type) and issubclass(cls, InputError)
 
 
+def _parses(data: bytes) -> bool:
+    try:
+        parse_arrangement(data)
+    except InputError:
+        return False
+    return True
+
+
 @given(documents | texts)
 @settings(max_examples=300, deadline=None)
 def test_parse_yields_arrangement_or_input_error(document):
@@ -154,5 +164,7 @@ def test_cli_exits_zero_or_one_with_a_typed_error(scratch_file, data, command):
     assert code in (0, 1), payload
     if code == 1:
         assert _input_error_name(payload["error"]), payload
+        if command[0] == "bound" and _parses(data):
+            assert payload["error"] != "ParseError", payload
     else:
         assert "error" not in payload

@@ -43,6 +43,9 @@ def _commands() -> list[str]:
             commands += [f"charpoly {path} --at {at}", f"charpoly {path} --at {at} --expand"]
         commands += [f"bound {path} --order {n}" for n in range(1, 9)]
     commands += [
+        "bound fixtures/triangle.json --order 3 --residues -1,1,1",
+        "bound fixtures/triangle.json --order 3 --res -1,1,1",
+        "bound fixtures/triangle.json --order 3 --residues=-1,1,1",
         "census --seed 1 --count 200",
         "census --seed 7 --count 100 --max-lines 12 --max-order 24",
     ]
@@ -72,6 +75,14 @@ def test_digest_file_lists_every_command():
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_bytes(command):
     assert run_digest(command) == _recorded()[command]
+
+
+def test_spaced_negative_residues_read_as_joined():
+    recorded = _recorded()
+    joined = recorded["bound fixtures/triangle.json --order 3 --residues=-1,1,1"]
+    assert joined["exit"] == 0
+    for spaced in ("--residues -1,1,1", "--res -1,1,1"):
+        assert recorded[f"bound fixtures/triangle.json --order 3 {spaced}"] == joined
 
 
 if __name__ == "__main__":

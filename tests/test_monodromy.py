@@ -273,7 +273,7 @@ class TestOnePassZeta:
         cs = compute_combinatorics(
             WeightedArrangement.build(list(base.lines), [w // g for w in weights])
         )
-        product = FactoredUnityPoly.one()
+        product = FactoredUnityPoly()
         for s in strata(cs):
             product = product * (local_zeta(s).value ** s.euler)
         assert zeta_at_zero(cs).value == product
