@@ -4,6 +4,9 @@ Every command of `COMMANDS` runs in-process through `main`; its stdout
 bytes and exit code must equal the digests in `golden_digests.json`.
 The digest file names fixtures relative to the repository root; no
 output contains a path, so it does not depend on where the checkout lives.
+Usage errors, bad options and `--help` are pinned too; `--help` ends in
+`SystemExit`, whose code is recorded as the exit code, and its text is
+wrapped at a fixed 80 columns.
 
 Re-record only at a commit whose output is known good:
 
@@ -13,9 +16,11 @@ Re-record only at a commit whose output is known good:
 import hashlib
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -48,7 +53,17 @@ def _commands() -> list[str]:
         "bound fixtures/triangle.json --order 3 --residues=-1,1,1",
         "census --seed 1 --count 200",
         "census --seed 7 --count 100 --max-lines 12 --max-order 24",
+        "bound fixtures/triangle.json --order 0",
+        "bound fixtures/triangle.json --order x",
+        "bound fixtures/triangle.json --order 3 --residues 1,1",
+        "bound fixtures/triangle.json --order 3 --residues 1,a",
+        "charpoly fixtures/triangle.json --at middle",
+        "census --max-lines 2",
+        "census --count 0",
+        "",  # no command
     ]
+    subcommands = ("info", "charpoly", "zeta", "bound", "verify", "census")
+    commands += [f"{sub} --help" for sub in subcommands]
     return commands
 
 
@@ -59,8 +74,11 @@ def run_digest(command: str) -> dict:
     """{"exit", "sha256"} of one command, its fixture path made absolute."""
     argv = [str(ROOT / arg) if arg.startswith("fixtures/") else arg for arg in command.split()]
     out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(argv)
+    with redirect_stdout(out), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
 
 
