@@ -136,15 +136,23 @@ class WeightedArrangement:
         for i, line in enumerate(lines):
             lead = line.b if line.a.is_zero else line.a
             if lead.re != 1 or lead.im:
-                raise ParseError(f"line {i} is not canonical: {line}; use Line.canonical")
+                raise ParseError(f"line {i} is not canonical: {_shown(line)}; use Line.canonical")
             first = seen.setdefault(line.triple, i)
             if first != i:
-                raise DuplicateLine(f"lines {first} and {i} canonicalize to {line}")
+                raise DuplicateLine(f"lines {first} and {i} canonicalize to {_shown(line)}")
         if len(lines) < 2 or len({line.direction_key for line in lines}) < 2:
             raise NotEssential("need at least two non-parallel lines")
         if gcd(*weights) != 1:
             raise BadGcd(f"weights {weights} have gcd {gcd(*weights)} != 1")
         return cls(tuple(lines), tuple(weights))
+
+
+def _shown(line: Line) -> str:
+    """The line as text for a message, or a stand-in when a coefficient is too long to write."""
+    try:
+        return str(line)
+    except ValueError:  # the interpreter's int-to-text digit limit
+        return "a line with a coefficient too long to write out"
 
 
 def _validated_weights(weights, d: int) -> tuple[int, ...]:

@@ -144,8 +144,8 @@ def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
             )
         )
         try:
-            genus = genus_general_fiber(cs)
-            results.append(_check("genus-nonnegative", genus >= 0, lambda: f"genus {genus}"))
+            genus_general_fiber(cs)  # raises on a negative genus
+            results.append(CheckResult("genus-nonnegative", True))
         except (InputError, InternalCheckError) as exc:
             results.append(CheckResult("genus-nonnegative", False, str(exc)))
 

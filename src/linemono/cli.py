@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Commands: info, charpoly, zeta, bound, verify, census.  Each is one
-`cmd_*` function whose parameters are exactly its command-line arguments.
+`cmd_*` function of its parsed options, with the file's summary `cs` in
+place of its path, that returns the payload and exit code; `_run` parses,
+builds the summary, runs the command and emits the payload for them all.
 All output is UTF-8 JSON with lexicographically sorted keys.  Exit codes:
 0 success (and --help), 1 invalid input, usage errors included (with a
 machine-readable error object), 2 internal invariant violation or a
@@ -19,16 +21,18 @@ import os
 import sys
 from functools import cache
 
-from .arrangement import compute_combinatorics, load_arrangement
+from .arrangement import CombinatorialSummary, compute_combinatorics, load_arrangement
 from .census import RunConfig, run_census, summarize
 from .checks import battery_passed, run_battery
 from .errors import FileError, InputError, InternalCheckError, NumberTooLong, ParseError
 from .invariants import invariant_report
-from .localsys import LocalSystem, h1_upper_bound
+from .localsys import LocalSystem, bound_from_summary
 from .monodromy import charpoly_infinity, charpoly_zero_closed, zeta_at_zero
 
 EXIT_CLOSED_STDOUT = 141
 """128 + SIGPIPE: the status a shell reports for a process that signal ended."""
+
+Result = tuple[dict, int]  # a command's payload and exit code
 
 
 def _emit(payload: dict) -> None:
@@ -39,58 +43,47 @@ def _emit_row(payload: dict, stream) -> None:
     stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def cmd_info(path: str) -> int:
-    cs = compute_combinatorics(load_arrangement(path))
+def cmd_info(cs: CombinatorialSummary) -> Result:
     report = invariant_report(cs)
     if not report.numbers_identity_holds:
         raise InternalCheckError("numerical-data identity failed")
     payload = report.to_json()
     payload["combinatorics"] = cs.to_json()
-    _emit(payload)
-    return 0
+    return payload, 0
 
 
-def cmd_charpoly(path: str, at: str, expand: bool) -> int:
-    cs = compute_combinatorics(load_arrangement(path))
+def cmd_charpoly(cs: CombinatorialSummary, at: str, expand: bool) -> Result:
     poly = charpoly_infinity(cs) if at == "infinity" else charpoly_zero_closed(cs)
     payload: dict = {"at": at, "degree": poly.degree(), "factors": poly.to_json()}
     if expand:
         payload["coefficients"] = poly.expand()
-    _emit(payload)
-    return 0
+    return payload, 0
 
 
-def cmd_zeta(path: str) -> int:
-    _emit(zeta_at_zero(compute_combinatorics(load_arrangement(path))).to_json())
-    return 0
+def cmd_zeta(cs: CombinatorialSummary) -> Result:
+    return zeta_at_zero(cs).to_json(), 0
 
 
-def cmd_bound(path: str, order: int, residues: list[int] | None) -> int:
-    arr = load_arrangement(path)
-    ls = LocalSystem.create(order, residues if residues else [1] * arr.d)
+def cmd_bound(cs: CombinatorialSummary, order: int, residues: list[int] | None) -> Result:
+    ls = LocalSystem.create(order, residues if residues else [1] * cs.d)
     if not ls.has_trivial and ls.residues_gcd > 1:
         print(
             f"note: residues share the factor {ls.residues_gcd} "
             f"(order {ls.order} is still minimal)",
             file=sys.stderr,
         )
-    _emit(h1_upper_bound(arr, ls).to_json())
-    return 0
+    return bound_from_summary(cs, ls).to_json(), 0
 
 
-def cmd_verify(path: str) -> int:
+def cmd_verify(cs: CombinatorialSummary) -> Result:
     """Run the identity battery; exit 2 when a check fails."""
-    results = run_battery(compute_combinatorics(load_arrangement(path)))
-    _emit(
-        {
-            "allPassed": battery_passed(results),
-            "checks": [r.to_json() for r in results],
-        }
-    )
-    return 0 if battery_passed(results) else 2
+    results = run_battery(cs)
+    passed = battery_passed(results)
+    return {"allPassed": passed, "checks": [r.to_json() for r in results]}, 0 if passed else 2
 
 
-def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str | None) -> int:
+def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str | None) -> Result:
+    """Stream the rows to `out` (default stdout); the payload is the summary."""
     config = RunConfig(seed=seed, count=count, max_lines=max_lines, max_order=max_order)
 
     def written(stream):
@@ -103,15 +96,12 @@ def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str |
             yield row
 
     if out is None:
-        summary = summarize(config, written(sys.stdout))
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as stream:
-                summary = summarize(config, written(stream))
-        except OSError as exc:
-            raise FileError(str(exc)) from exc
-    _emit(summary)
-    return 0
+        return summarize(config, written(sys.stdout)), 0
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as stream:
+            return summarize(config, written(stream)), 0
+    except OSError as exc:
+        raise FileError(str(exc)) from exc
 
 
 def _integer(option: str):
@@ -143,17 +133,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="combinatorial summary and closed-form invariants")
+    p.set_defaults(run=cmd_info)
     p.add_argument("file")
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of the monodromy")
+    p.set_defaults(run=cmd_charpoly)
     p.add_argument("file")
     p.add_argument("--at", choices=("zero", "infinity"), required=True)
     p.add_argument("--expand", action="store_true", help="also emit dense coefficients")
 
     p = sub.add_parser("zeta", help="stratified zeta function about the zero fiber")
+    p.set_defaults(run=cmd_zeta)
     p.add_argument("file")
 
     p = sub.add_parser("bound", help="upper bound for twisted first cohomology")
+    p.set_defaults(run=cmd_bound)
     p.add_argument("file")
     p.add_argument(
         "--order", type=_integer("--order"), required=True, help="order N of the eigenvalue"
@@ -164,9 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", help="run the identity battery on a file")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("file")
 
     p = sub.add_parser("census", help="randomized bound-comparison census")
+    p.set_defaults(run=cmd_census)
     p.add_argument("--seed", type=_integer("--seed"), default=1)
     p.add_argument("--count", type=_integer("--count"), default=200)
     p.add_argument("--max-lines", type=_integer("--max-lines"), default=8, dest="max_lines")
@@ -187,9 +183,7 @@ def _join_residues(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse_residues(text: str | None) -> list[int] | None:
-    if text is None:
-        return None
+def _parse_residues(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
@@ -218,37 +212,28 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
+    """Parse, build the summary of the command's file, run the command, emit its payload."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_join_residues(argv))
-        if args.command == "info":
-            return cmd_info(args.file)
-        if args.command == "charpoly":
-            return cmd_charpoly(args.file, args.at, args.expand)
-        if args.command == "zeta":
-            return cmd_zeta(args.file)
-        if args.command == "bound":
-            return cmd_bound(args.file, args.order, _parse_residues(args.residues))
-        if args.command == "verify":
-            return cmd_verify(args.file)
-        if args.command == "census":
-            return cmd_census(
-                args.seed, args.count, args.max_lines, args.max_order, args.out
-            )
-        raise AssertionError(f"unhandled command {args.command}")
-    except InputError as exc:
-        _emit({"error": exc.code, "message": str(exc)})
-        return 1
-    except InternalCheckError as exc:
-        _emit({"error": "InternalCheckError", "message": str(exc)})
-        return 2
+        options = vars(build_parser().parse_args(_join_residues(argv)))
+        del options["command"]
+        run = options.pop("run")
+        if options.get("residues") is not None:  # checked before the file is read
+            options["residues"] = _parse_residues(options["residues"])
+        if "file" in options:
+            options["cs"] = compute_combinatorics(load_arrangement(options.pop("file")))
+        payload, code = run(**options)
+        _emit(payload)
+        return code
+    except (InputError, InternalCheckError) as exc:
+        error = exc
     except ValueError as exc:
         if "integer string conversion" not in str(exc):  # CPython's int-to-text digit limit
             raise
         limit = sys.get_int_max_str_digits()
         error = NumberTooLong(f"a number to be written out has more than {limit} digits")
-        _emit({"error": error.code, "message": str(error)})
-        return 1
+    _emit({"error": type(error).__name__, "message": str(error)})
+    return 2 if isinstance(error, InternalCheckError) else 1
 
 
 if __name__ == "__main__":

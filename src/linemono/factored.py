@@ -63,23 +63,39 @@ def _divide_exact(p: list[int], m: int) -> list[int] | None:
     return None if any(q[cut:]) else q[:cut]
 
 
-class FactoredUnityPoly:
+class _ExponentMap:
+    """An immutable sparse map {index >= 1: exponent}; repeats summed, zeros dropped."""
+
+    __slots__ = ("_items",)
+    _INDEX = "factor"  # how a ValueError names the index
+
+    def __init__(self, pairs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        pairs = pairs.items() if isinstance(pairs, Mapping) else pairs
+        merged: dict[int, int] = {}
+        for m, c in pairs:
+            if m < 1:
+                raise ValueError(f"{self._INDEX} index must be >= 1, got {m}")
+            merged[m] = merged.get(m, 0) + c
+        self._items = tuple(sorted((m, c) for m, c in merged.items() if c != 0))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self._items)!r})"
+
+
+class FactoredUnityPoly(_ExponentMap):
     """A product prod_m (t^m - 1)^{c_m}, exponents possibly negative.
 
     Values are immutable; all operations return new objects.  The degree
     sum(m * c_m) may be negative for proper rational functions.
     """
 
-    __slots__ = ("_items",)
-
-    def __init__(self, factors: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = factors.items() if isinstance(factors, Mapping) else factors
-        merged: dict[int, int] = {}
-        for m, c in pairs:
-            if m < 1:
-                raise ValueError(f"factor index must be >= 1, got {m}")
-            merged[m] = merged.get(m, 0) + c
-        self._items = tuple(sorted((m, c) for m, c in merged.items() if c != 0))
+    __slots__ = ()
 
     @property
     def factors(self) -> dict[int, int]:
@@ -88,12 +104,6 @@ class FactoredUnityPoly:
     @property
     def is_one(self) -> bool:
         return not self._items
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FactoredUnityPoly) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
 
     def __mul__(self, other: "FactoredUnityPoly") -> "FactoredUnityPoly":
         return FactoredUnityPoly(list(self._items) + list(other._items))
@@ -184,36 +194,19 @@ class FactoredUnityPoly:
             parts.append(base if c == 1 else f"{base}^{c}")
         return "".join(parts)
 
-    def __repr__(self) -> str:
-        return f"FactoredUnityPoly({dict(self._items)!r})"
-
     def to_json(self) -> dict[str, int]:
         return {str(m): c for m, c in self._items}
 
 
-class CyclotomicExponents:
+class CyclotomicExponents(_ExponentMap):
     """A product prod_N Phi_N(t)^{eps_N} over cyclotomic polynomials."""
 
-    __slots__ = ("_items",)
-
-    def __init__(self, exponents: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = exponents.items() if isinstance(exponents, Mapping) else exponents
-        merged: dict[int, int] = {}
-        for n, e in pairs:
-            if n < 1:
-                raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-            merged[n] = merged.get(n, 0) + e
-        self._items = tuple(sorted((n, e) for n, e in merged.items() if e != 0))
+    __slots__ = ()
+    _INDEX = "cyclotomic"
 
     @property
     def exponents(self) -> dict[int, int]:
         return dict(self._items)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclotomicExponents) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
 
     def multiplicity(self, root: RootOfUnity) -> int:
         """Exponent of the cyclotomic factor whose roots include `root`."""
@@ -225,9 +218,6 @@ class CyclotomicExponents:
         return "".join(
             f"Phi_{n}" + (f"^{e}" if e != 1 else "") for n, e in self._items
         )
-
-    def __repr__(self) -> str:
-        return f"CyclotomicExponents({dict(self._items)!r})"
 
 
 def gcd_factored(a: FactoredUnityPoly, b: FactoredUnityPoly) -> CyclotomicExponents:

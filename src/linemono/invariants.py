@@ -38,20 +38,12 @@ def numbers_identity(cs: CombinatorialSummary) -> tuple[int, int]:
     return vertex_side, direction_side
 
 
-def betti1_general_fiber(cs: CombinatorialSummary, weights=None) -> int:
-    """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j, sums over `weights`."""
-    weights = cs.weight_vector(weights)
-    value = 1 + sum(weights) * (cs.d - 1) - sum(
+def betti1_general_fiber(cs: CombinatorialSummary) -> int:
+    """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j, over the arrangement's weights."""
+    weights = cs.weights
+    return 1 + sum(weights) * (cs.d - 1) - sum(
         sum(weights[i] for i in g.members) * g.count for g in cs.directions
     )
-    if all(e == 1 for e in weights):
-        # Vertex-side expression must agree in the reduced case.
-        alt, _ = numbers_identity(cs)
-        if alt != value:
-            raise InternalCheckError(
-                f"general-fiber b1 mismatch: {value} (directions) vs {alt} (vertices)"
-            )
-    return value
 
 
 def genus_general_fiber(cs: CombinatorialSummary) -> int:

@@ -69,8 +69,6 @@ class LocalSystem:
         if type(order) is not int or order < 1:
             raise BadOrder(f"order must be a positive integer, got {order!r}")
         residues = tuple(residues)
-        if not residues:
-            raise BadResidues("residue list must be non-empty")
         for r in residues:
             if type(r) is not int:
                 raise BadResidues(f"residues must be integers, got {r!r}")
@@ -123,8 +121,8 @@ def _require_nontrivial(cs: CombinatorialSummary, ls: LocalSystem) -> None:
     if len(ls.residues) != cs.d:
         raise LengthMismatch(f"{cs.d} lines but {len(ls.residues)} residues")
     if ls.has_trivial:
-        trivial = [i for i, r in enumerate(ls.residues) if r % ls.order == 0]
-        raise TrivialMonodromy(f"monodromy is 1 on lines {trivial or 'all'}")
+        trivial = [i for i, r in enumerate(ls.residues) if r == 0]
+        raise TrivialMonodromy(f"monodromy is 1 on lines {trivial}")
 
 
 @dataclass(frozen=True)

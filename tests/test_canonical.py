@@ -23,6 +23,7 @@ from linemono import (
     NotEssential,
     ParseError,
     WeightedArrangement,
+    parse_arrangement,
 )
 
 from _oracles import cdiv, cmul
@@ -170,9 +171,26 @@ class TestBuildDecisions:
             WeightedArrangement.build(lines, [1, 1, 1])
         assert str(info.value) == "lines 0 and 2 canonicalize to (1)x + (0)y + (0) = 0"
 
+    def test_messages_with_a_coefficient_too_long_to_write(self):
+        big = 10**4199 + 7  # 4200 digits; the canonical b = big * (big + 1) has about 8400
+        line = {"a": f"1/{big}", "b": str(big + 1), "c": 0}
+        with pytest.raises(DuplicateLine) as info:
+            parse_arrangement({"lines": [line, {"a": 0, "b": 1, "c": 0}, line]})
+        assert str(info.value) == (
+            "lines 0 and 2 canonicalize to a line with a coefficient too long to write out"
+        )
+        one, zero = GaussianRational.of(1), GaussianRational.of(0)
+        unscaled = Line(GaussianRational.of(big), GaussianRational.of(big * big), zero)
+        with pytest.raises(ParseError) as info:
+            WeightedArrangement.build([unscaled, Line(zero, one, zero)], [1, 1])
+        assert str(info.value) == (
+            "line 0 is not canonical: a line with a coefficient too long to write out;"
+            " use Line.canonical"
+        )
+
     def test_non_canonical_line_rejected(self):
         # Unscaled, Line(2, 0, 0) is x = 0 again; accepted, it would pass the
-        # duplicate test and break the general-fiber b1 cross-check downstream.
+        # duplicate test and break the identities downstream.
         one, two, zero = GaussianRational.of(1), GaussianRational.of(2), GaussianRational.of(0)
         lines = [Line(two, zero, zero), Line(one, zero, zero), Line(zero, one, zero)]
         with pytest.raises(ParseError) as info:

@@ -50,6 +50,20 @@ class TestBatteryCatchesCorruption:
         assert not battery_passed(results)
         assert failed_names(results)
 
+    def test_doctored_histogram_runs_every_charpoly_check(self, triangle):
+        """No charpoly reads the histogram: its four checks run and pass."""
+        doctored = replace(compute_combinatorics(triangle), histogram={2: 2, 3: 1})
+        results = {r.name: r.passed for r in run_battery(doctored)}
+        charpoly_checks = (
+            "degree-identity",
+            "charpoly-exponents-nonnegative",
+            "root-one-multiplicity",
+            "zeta-agreement",
+        )
+        assert all(results[name] for name in charpoly_checks)
+        assert results["numbers-identity"] is False
+        assert "charpoly-computable" not in results
+
     def test_doctored_line_vertex_counts(self, triangle):
         cs = compute_combinatorics(triangle)
         doctored = replace(cs, line_vertex_counts=(2, 2, 3))

@@ -12,17 +12,7 @@ from pathlib import Path
 import pytest
 
 from linemono import compute_combinatorics
-from linemono.cli import (
-    EXIT_CLOSED_STDOUT,
-    build_parser,
-    cmd_bound,
-    cmd_census,
-    cmd_charpoly,
-    cmd_info,
-    cmd_verify,
-    cmd_zeta,
-    main,
-)
+from linemono.cli import EXIT_CLOSED_STDOUT, build_parser, main
 
 from conftest import EIGHT_NORMAL_CROSSING, TRIANGLE, TWO_AXES, WEIGHTED_TRIANGLE
 
@@ -36,24 +26,21 @@ def triangle_file(tmp_path):
     return str(path)
 
 
-def run_json(capsys, exit_code, func, *args, **kwargs):
-    assert func(*args, **kwargs) == exit_code
-    out = capsys.readouterr().out
-    return json.loads(out)
+def run_json(capsys, exit_code, *argv):
+    assert main(list(argv)) == exit_code
+    return json.loads(capsys.readouterr().out)
 
 
 class TestInfo:
     def test_triangle(self, capsys, triangle_file):
-        payload = run_json(capsys, 0, cmd_info, triangle_file)
+        payload = run_json(capsys, 0, "info", triangle_file)
         assert payload["mu"] == 1
         assert payload["genus"] == 1
         assert payload["combinatorics"]["histogram"] == {"2": 3}
         assert payload["combinatorics"]["p"] == 3
 
     def test_eight_line_fixture_file(self, capsys):
-        payload = run_json(
-            capsys, 0, cmd_info, str(FIXTURES / "eight_line_normal_crossing.json")
-        )
+        payload = run_json(capsys, 0, "info", str(FIXTURES / "eight_line_normal_crossing.json"))
         assert payload["numbersIdentityHolds"] is True
         assert payload["mu"] == 17
 
@@ -73,6 +60,19 @@ class TestInfo:
         assert main(["info", str(path)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "DuplicateLine"
+
+    def test_duplicate_line_too_long_to_write(self, capsys, tmp_path):
+        big = 10**4199 + 7  # 4200 digits; the canonical b = big * (big + 1) has about 8400
+        line = {"a": f"1/{big}", "b": str(big + 1), "c": 0}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"lines": [line, line, {"a": 0, "b": 1, "c": 0}]}))
+        for command, *options in (["info"], ["verify"], ["zeta"], ["bound", "--order", "2"]):
+            assert main([command, str(path), *options]) == 1
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["error"] == "DuplicateLine"
+            assert payload["message"] == (
+                "lines 0 and 1 canonicalize to a line with a coefficient too long to write out"
+            )
 
     @pytest.mark.parametrize("literal", ['"1%s"', "1%s"])
     def test_literal_over_digit_limit(self, capsys, tmp_path, literal):
@@ -149,11 +149,13 @@ class TestNumberTooLong:
 
 class TestCharpoly:
     def test_zero(self, capsys, triangle_file):
-        payload = run_json(capsys, 0, cmd_charpoly, triangle_file, "zero", False)
+        payload = run_json(capsys, 0, "charpoly", triangle_file, "--at", "zero")
         assert payload == {"at": "zero", "degree": 4, "factors": {"1": 4}}
 
     def test_infinity_expanded(self, capsys, triangle_file):
-        payload = run_json(capsys, 0, cmd_charpoly, triangle_file, "infinity", True)
+        payload = run_json(
+            capsys, 0, "charpoly", triangle_file, "--at", "infinity", "--expand"
+        )
         assert payload["factors"] == {"1": 1, "3": 1}
         # (t-1)(t^3-1) = t^4 - t^3 - t + 1
         assert payload["coefficients"] == [1, -1, 0, -1, 1]
@@ -166,13 +168,13 @@ class TestCharpoly:
 
 class TestZeta:
     def test_triangle(self, capsys, triangle_file):
-        payload = run_json(capsys, 0, cmd_zeta, triangle_file)
+        payload = run_json(capsys, 0, "zeta", triangle_file)
         assert payload == {"denominator": {"1": 3}, "numerator": {}}
 
     def test_weighted(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(json.dumps(WEIGHTED_TRIANGLE))
-        payload = run_json(capsys, 0, cmd_zeta, str(path))
+        payload = run_json(capsys, 0, "zeta", str(path))
         assert payload == {"denominator": {"1": 2, "2": 1}, "numerator": {}}
 
 
@@ -180,13 +182,15 @@ class TestBound:
     def test_equimonodromical_default_residues(self, capsys, tmp_path):
         path = tmp_path / "p8.json"
         path.write_text(json.dumps(EIGHT_NORMAL_CROSSING))
-        payload = run_json(capsys, 0, cmd_bound, str(path), 3, None)
+        payload = run_json(capsys, 0, "bound", str(path), "--order", "3")
         assert payload["N0"] == 0
         assert payload["NInfinity"] == 4
         assert payload["bound"] == 0
 
     def test_explicit_residues(self, capsys, triangle_file):
-        payload = run_json(capsys, 0, cmd_bound, triangle_file, 4, [1, 1, 2])
+        payload = run_json(
+            capsys, 0, "bound", triangle_file, "--order", "4", "--residues", "1,1,2"
+        )
         assert payload["NInfinity"] == 1
         assert payload["vertexSumInfinity"] is None
 
@@ -222,7 +226,7 @@ class TestVerify:
             "concurrent_four.json",
             "complex_pencil.json",
         ):
-            payload = run_json(capsys, 0, cmd_verify, str(FIXTURES / name))
+            payload = run_json(capsys, 0, "verify", str(FIXTURES / name))
             assert payload["allPassed"] is True, name
             assert all(c["passed"] for c in payload["checks"])
 
@@ -236,9 +240,7 @@ class TestVerify:
             return replace(summary, histogram=histogram)
 
         monkeypatch.setattr(linemono.cli, "compute_combinatorics", corrupt)
-        code = cmd_verify(triangle_file)
-        assert code == 2
-        payload = json.loads(capsys.readouterr().out)
+        payload = run_json(capsys, 2, "verify", triangle_file)
         assert payload["allPassed"] is False
         failed = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert failed
@@ -247,9 +249,10 @@ class TestVerify:
 class TestCensusCommand:
     def test_rows_and_summary(self, capsys, tmp_path):
         out = tmp_path / "rows.jsonl"
-        code = cmd_census(seed=5, count=10, max_lines=6, max_order=3, out=str(out))
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = run_json(
+            capsys, 0, "census", "--seed", "5", "--count", "10", "--max-lines", "6",
+            "--max-order", "3", "--out", str(out),
+        )
         lines = out.read_text().splitlines()
         assert summary["rows"] == len(lines) == 20
         rows = [json.loads(line) for line in lines]
@@ -277,11 +280,13 @@ class TestCensusCommand:
             i for i in range(4) for _ in range(4)
         ]
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, capsys, tmp_path):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
-        assert cmd_census(1, 25, 8, 4, str(first)) == 0
-        assert cmd_census(1, 25, 8, 4, str(second)) == 0
+        for out in (first, second):
+            argv = ["census", "--seed", "1", "--count", "25", "--max-order", "4", "--out", str(out)]
+            assert main(argv) == 0
+        capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
     def test_bad_config_exit_code(self, capsys):
@@ -298,8 +303,10 @@ class TestCensusCommand:
 
     def test_stable_key_ordering(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
-        cmd_census(seed=3, count=5, max_lines=6, max_order=3, out=str(out))
-        capsys.readouterr()
+        run_json(
+            capsys, 0, "census", "--seed", "3", "--count", "5", "--max-lines", "6",
+            "--max-order", "3", "--out", str(out),
+        )
         for line in out.read_text().splitlines():
             keys = list(json.loads(line))
             assert keys == sorted(keys)
