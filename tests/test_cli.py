@@ -284,8 +284,8 @@ class TestCensusCommand:
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
         for out in (first, second):
-            argv = ["census", "--seed", "1", "--count", "25", "--max-order", "4", "--out", str(out)]
-            assert main(argv) == 0
+            argv = ["census", "--seed", "1", "--count", "25", "--max-order", "4"]
+            assert main([*argv, "--out", str(out)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 

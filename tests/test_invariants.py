@@ -67,7 +67,8 @@ class TestBetti1:
         weights = list(arr.weights)
         weights[index] += bump
         k_j = next(g.count for g in cs.directions if index in g.members)
-        delta = betti1_general_fiber(replace(cs, weights=tuple(weights))) - betti1_general_fiber(cs)
+        reweighted = replace(cs, weights=tuple(weights))
+        delta = betti1_general_fiber(reweighted) - betti1_general_fiber(cs)
         assert delta == bump * ((cs.d - 1) - k_j)
         assert delta >= 0
         if k_j < cs.d - 1:
