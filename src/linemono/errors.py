@@ -28,6 +28,10 @@ class NumberTooLong(InputError):
     """A number to be written out has more digits than the interpreter's limit."""
 
 
+class TooManyLines(InputError):
+    """An arrangement has more than LINE_LIMIT lines, so its pairs are not intersected."""
+
+
 class DuplicateLine(InputError):
     """Two lines canonicalize to the same equation."""
 

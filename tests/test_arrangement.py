@@ -15,9 +15,12 @@ from linemono import (
     Line,
     NotEssential,
     ParseError,
+    WeightedArrangement,
     compute_combinatorics,
     parse_arrangement,
 )
+from linemono.arrangement import LINE_LIMIT
+from linemono.errors import TooManyLines
 
 from _oracles import brute_combinatorics
 from conftest import EIGHT_NORMAL_CROSSING
@@ -129,6 +132,17 @@ class TestParsing:
     def test_duplicate_keys_rejected(self, document):
         with pytest.raises(ParseError, match="duplicate key"):
             parse_arrangement(document)
+
+    def test_line_limit_boundary(self):
+        """LINE_LIMIT lines build; one more is refused before any line is checked or paired."""
+        assert LINE_LIMIT == 500
+        ga = GaussianRational.of
+        pencil = [Line.canonical(ga(1), ga(k), ga(0)) for k in range(LINE_LIMIT + 1)]
+        assert WeightedArrangement.build(pencil[:-1], [1] * LINE_LIMIT).d == LINE_LIMIT
+        with pytest.raises(TooManyLines, match="501 lines > LINE_LIMIT = 500"):
+            WeightedArrangement.build(pencil, [1] * (LINE_LIMIT + 1))
+        with pytest.raises(TooManyLines):  # not DuplicateLine: the count comes first
+            WeightedArrangement.build(pencil[:1] * (LINE_LIMIT + 1), [1] * (LINE_LIMIT + 1))
 
     @pytest.mark.parametrize("literal", ['"1%s"', '1%s', '"1/1%s"', '{"im": "-1%s"}'])
     def test_literal_over_digit_limit(self, literal):

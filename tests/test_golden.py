@@ -60,6 +60,7 @@ def _commands() -> list[str]:
         "charpoly fixtures/triangle.json --at middle",
         "census --max-lines 2",
         "census --count 0",
+        "info fixtures/limits/too_many_lines.json",
         "",  # no command
     ]
     subcommands = ("info", "charpoly", "zeta", "bound", "verify", "census")
