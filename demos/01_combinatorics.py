@@ -3,8 +3,8 @@
 Everything downstream (characteristic polynomials, zeta functions, bounds)
 is a function of the data printed here: vertices with incident lines,
 direction classes, and the multiplicity histogram.  The summary stores no
-weights beyond the weight vector; each weight sum below is summed from it
-over a vertex's incident lines or a class's members.
+weights beyond the weight vector; the weight sums below come from
+`cs.class_sums(w)` and `cs.vertex_sums(w)`.
 """
 
 from pathlib import Path
@@ -27,13 +27,13 @@ for name in (
     print(f"=== {name}")
     print(f"  lines d={cs.d}, total weight d_e={sum(w)}, weights={list(w)}")
     print(f"  direction classes p={cs.p}: sizes {[g.count for g in cs.directions]}, "
-          f"weight sums {[sum(w[i] for i in g.members) for g in cs.directions]}")
+          f"weight sums {cs.class_sums(w)}")
     print(f"  multiplicity histogram n_m = { {m: n for m, n in sorted(cs.histogram.items())} }")
     print(f"  vertices on each line v_j = {list(cs.line_vertex_counts)}")
-    for v in cs.vertices[:4]:
+    for v, d_v in zip(cs.vertices[:4], cs.vertex_sums(w)):
         x, y = v.point
         print(f"    vertex ({x}, {y}): lines {sorted(v.incident)}, "
-              f"multiplicity {v.multiplicity}, weight sum {sum(w[i] for i in v.incident)}")
+              f"multiplicity {v.multiplicity}, weight sum {d_v}")
     if len(cs.vertices) > 4:
         print(f"    ... and {len(cs.vertices) - 4} more vertices")
     # the incidence double count ties the three views together

@@ -8,8 +8,8 @@ The combinatorial summary collects everything the closed formulas consume:
 the vertices with their incident line sets, the direction classes (the
 points at infinity, kept purely combinatorial), the vertex multiplicity
 histogram and per-line vertex counts.  The geometry carries no weights:
-a weight sum d(I_v), d_j or d_E is summed from a weight vector (the
-arrangement's own, or local-system residues) where a formula uses it.
+`CombinatorialSummary.vertex_sums` and `class_sums` sum a weight vector
+(the arrangement's own, or local-system residues) into d(I_v) and d_j.
 No epsilon appears anywhere; coincidence of intersection points is exact.
 
 Each line carries integer keys, computed once when it is built: its
@@ -139,8 +139,7 @@ class WeightedArrangement:
 
     @classmethod
     def build(cls, lines: list[Line], weights: list[int]) -> "WeightedArrangement":
-        if len(lines) > LINE_LIMIT:
-            raise TooManyLines(f"{len(lines)} lines > LINE_LIMIT = {LINE_LIMIT}")
+        _check_line_count(len(lines))
         _validated_weights(weights, len(lines))
         seen: dict[tuple[int, ...], int] = {}
         for i, line in enumerate(lines):
@@ -155,6 +154,11 @@ class WeightedArrangement:
         if gcd(*weights) != 1:
             raise BadGcd(f"weights {weights} have gcd {gcd(*weights)} != 1")
         return cls(tuple(lines), tuple(weights))
+
+
+def _check_line_count(d: int) -> None:
+    if d > LINE_LIMIT:
+        raise TooManyLines(f"{d} lines > LINE_LIMIT = {LINE_LIMIT}")
 
 
 def _shown(line: Line) -> str:
@@ -210,6 +214,7 @@ def parse_arrangement(document: str | bytes | dict) -> WeightedArrangement:
     entries = document.get("lines")
     if not isinstance(entries, list) or not entries:
         raise ParseError('"lines" must be a non-empty array')
+    _check_line_count(len(entries))  # before any entry is parsed
     lines: list[Line] = []
     weights: list[int] = []
     for i, entry in enumerate(entries):
@@ -305,21 +310,28 @@ class CombinatorialSummary:
         """
         return self.weights if weights is None else _validated_weights(weights, self.d)
 
+    def vertex_sums(self, weights) -> list[int]:
+        """d(I_v) for each vertex, in vertex order: `weights` summed over its lines."""
+        return [sum(map(weights.__getitem__, v.incident)) for v in self.vertices]
+
+    def class_sums(self, weights) -> list[int]:
+        """d_j for each direction class, in class order: `weights` summed over its members."""
+        return [sum(map(weights.__getitem__, g.members)) for g in self.directions]
+
     def to_json(self) -> dict:
-        weights = self.weights
         # Grid-like arrangements repeat coordinates: build each value once per call.
         coordinate = cache(_coordinate)
         return {
             "d": self.d,
-            "dE": sum(weights),
+            "dE": sum(self.weights),
             "directions": [
                 {
                     "count": g.count,
                     "direction": [c.to_json() for c in g.direction],
                     "members": sorted(g.members),
-                    "weightSum": sum(weights[i] for i in g.members),
+                    "weightSum": d_j,
                 }
-                for g in self.directions
+                for g, d_j in zip(self.directions, self.class_sums(self.weights))
             ],
             "histogram": {str(m): n for m, n in sorted(self.histogram.items())},
             "lineVertexCounts": list(self.line_vertex_counts),
@@ -332,9 +344,9 @@ class CombinatorialSummary:
                         coordinate(v.key[0], v.key[1], v.key[4]).to_json(),
                         coordinate(v.key[2], v.key[3], v.key[4]).to_json(),
                     ],
-                    "weightSum": sum(weights[i] for i in v.incident),
+                    "weightSum": d_v,
                 }
-                for v in self.vertices
+                for v, d_v in zip(self.vertices, self.vertex_sums(self.weights))
             ],
             "weights": list(self.weights),
         }

@@ -66,13 +66,14 @@ def cmd_zeta(cs: CombinatorialSummary) -> Result:
 
 def cmd_bound(cs: CombinatorialSummary, order: int, residues: list[int] | None) -> Result:
     ls = LocalSystem.create(order, residues if residues else [1] * cs.d)
-    if not ls.has_trivial and ls.residues_gcd > 1:
+    report = bound_from_summary(cs, ls)  # raises unless every monodromy is nontrivial
+    if ls.residues_gcd > 1:
         print(
             f"note: residues share the factor {ls.residues_gcd} "
             f"(order {ls.order} is still minimal)",
             file=sys.stderr,
         )
-    return bound_from_summary(cs, ls).to_json(), 0
+    return report.to_json(), 0
 
 
 def cmd_verify(cs: CombinatorialSummary) -> Result:
@@ -165,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_census)
     p.add_argument("--seed", type=_integer("--seed"), default=1)
     p.add_argument("--count", type=_integer("--count"), default=200)
-    p.add_argument("--max-lines", type=_integer("--max-lines"), default=8, dest="max_lines")
-    p.add_argument("--max-order", type=_integer("--max-order"), default=6, dest="max_order")
+    p.add_argument("--max-lines", type=_integer("--max-lines"), default=RunConfig.max_lines)
+    p.add_argument("--max-order", type=_integer("--max-order"), default=RunConfig.max_order)
     p.add_argument("--out", default=None, help="JSONL output path (default: stdout)")
 
     return parser

@@ -40,10 +40,8 @@ def numbers_identity(cs: CombinatorialSummary) -> tuple[int, int]:
 
 def betti1_general_fiber(cs: CombinatorialSummary) -> int:
     """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j, over the arrangement's weights."""
-    weights = cs.weights
-    return 1 + sum(weights) * (cs.d - 1) - sum(
-        sum(weights[i] for i in g.members) * g.count for g in cs.directions
-    )
+    d_js = cs.class_sums(cs.weights)
+    return 1 + sum(cs.weights) * (cs.d - 1) - sum(d * g.count for d, g in zip(d_js, cs.directions))
 
 
 def genus_general_fiber(cs: CombinatorialSummary) -> int:
@@ -65,7 +63,7 @@ def infinity_singularity_mu(cs: CombinatorialSummary, j: int) -> int:
     zero exactly at smooth points.
     """
     g = cs.directions[j]
-    d_j = sum(cs.weights[i] for i in g.members)
+    d_j = cs.class_sums(cs.weights)[j]
     return sum(cs.weights) * (d_j - g.count) + d_j * (g.count - 2) + 1
 
 

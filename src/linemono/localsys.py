@@ -162,8 +162,8 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
     zero = charpoly_zero_closed(cs, residues)
     infinity = charpoly_infinity(cs, residues)
     d_e = sum(residues)
-    vertices = [(sum(residues[i] for i in v.incident), v.multiplicity - 2) for v in cs.vertices]
-    classes = [(d_e - sum(residues[i] for i in g.members), g.count - 1) for g in cs.directions]
+    vertices = [(d_v, v.multiplicity - 2) for v, d_v in zip(cs.vertices, cs.vertex_sums(residues))]
+    classes = [(d_e - d_j, g.count - 1) for g, d_j in zip(cs.directions, cs.class_sums(residues))]
     reports = []
     for n in orders:
         a = RootOfUnity(1, n)

@@ -37,7 +37,7 @@ def charpoly_infinity(cs: CombinatorialSummary, weights=None) -> FactoredUnityPo
     weights = cs.weight_vector(weights)
     d_e = sum(weights)
     factors = [(1, 1), (d_e, cs.p - 2)]
-    factors += [(d_e - sum(weights[i] for i in g.members), g.count - 1) for g in cs.directions]
+    factors += [(d_e - d_j, g.count - 1) for g, d_j in zip(cs.directions, cs.class_sums(weights))]
     return FactoredUnityPoly(factors)
 
 
@@ -52,7 +52,7 @@ def charpoly_zero_closed(cs: CombinatorialSummary, weights=None) -> FactoredUnit
     weights = cs.weight_vector(weights)
     factors = [(1, 1)]
     factors += [(e, count - 1) for e, count in zip(weights, cs.line_vertex_counts)]
-    factors += [(sum(weights[i] for i in v.incident), v.multiplicity - 2) for v in cs.vertices]
+    factors += [(d_v, v.multiplicity - 2) for v, d_v in zip(cs.vertices, cs.vertex_sums(weights))]
     return FactoredUnityPoly(factors)
 
 
@@ -73,20 +73,10 @@ class StratumDescriptor:
 
 def strata(cs: CombinatorialSummary) -> Iterator[StratumDescriptor]:
     """The stratification of the zero fiber the zeta product runs over."""
-    for v in cs.vertices:
-        yield StratumDescriptor(
-            kind="vertex",
-            weight_sum=sum(cs.weights[i] for i in v.incident),
-            multiplicity=v.multiplicity,
-            euler=1,
-        )
+    for v, d_v in zip(cs.vertices, cs.vertex_sums(cs.weights)):
+        yield StratumDescriptor("vertex", weight_sum=d_v, multiplicity=v.multiplicity, euler=1)
     for e, count in zip(cs.weights, cs.line_vertex_counts):
-        yield StratumDescriptor(
-            kind="open_line_piece",
-            weight_sum=e,
-            multiplicity=1,
-            euler=1 - count,
-        )
+        yield StratumDescriptor("open_line_piece", weight_sum=e, multiplicity=1, euler=1 - count)
 
 
 @dataclass(frozen=True)
@@ -151,12 +141,10 @@ def zeta_at_zero(cs: CombinatorialSummary) -> ZetaFunction:
     pass over the strata of `strata(cs)` written out: a vertex adds
     2 - m_v at d(I_v), the open piece of line j adds 1 - v_j at e_j.
     """
-    weights = cs.weights
     exponents: dict[int, int] = {}
-    for v in cs.vertices:
-        d_v = sum(weights[i] for i in v.incident)
+    for v, d_v in zip(cs.vertices, cs.vertex_sums(cs.weights)):
         exponents[d_v] = exponents.get(d_v, 0) + 2 - v.multiplicity
-    for e, count in zip(weights, cs.line_vertex_counts):
+    for e, count in zip(cs.weights, cs.line_vertex_counts):
         exponents[e] = exponents.get(e, 0) + 1 - count
     return ZetaFunction(FactoredUnityPoly(exponents))
 

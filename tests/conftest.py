@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,11 @@ import pytest
 from linemono import parse_arrangement
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Child interpreters (`python -m linemono.cli`) import the checkout under test,
+# also when pytest alone put `src` on the path (`pythonpath` in pyproject.toml).
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 TRIANGLE = {
     "lines": [

@@ -144,6 +144,19 @@ class TestParsing:
         with pytest.raises(TooManyLines):  # not DuplicateLine: the count comes first
             WeightedArrangement.build(pencil[:1] * (LINE_LIMIT + 1), [1] * (LINE_LIMIT + 1))
 
+    def test_line_limit_before_parsing(self, monkeypatch):
+        """A document over LINE_LIMIT is refused before any coefficient is parsed."""
+
+        def refused(value):
+            raise AssertionError("parse_coefficient called on an over-limit document")
+
+        monkeypatch.setattr("linemono.arrangement.parse_coefficient", refused)
+        entries = [{"a": 1, "b": k, "c": 0} for k in range(LINE_LIMIT + 1)]
+        with pytest.raises(TooManyLines, match="501 lines > LINE_LIMIT = 500"):
+            parse_arrangement({"lines": entries})
+        with pytest.raises(TooManyLines):
+            parse_arrangement(json.dumps({"lines": entries}))
+
     @pytest.mark.parametrize("literal", ['"1%s"', '1%s', '"1/1%s"', '{"im": "-1%s"}'])
     def test_literal_over_digit_limit(self, literal):
         big = literal % ("0" * 5000)

@@ -215,6 +215,16 @@ class TestBound:
         captured = capsys.readouterr()
         assert "factor 2" in captured.err
 
+    @pytest.mark.parametrize(
+        "residues, error", [("2,2", "LengthMismatch"), ("2,2,3", "TrivialMonodromy")]
+    )
+    def test_no_note_when_bound_fails(self, capsys, triangle_file, residues, error):
+        """Residues sharing a factor, but the bound is refused: exit 1 and nothing on stderr."""
+        assert main(["bound", triangle_file, "--order", "3", "--residues", residues]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == error
+        assert captured.err == ""
+
 
 class TestVerify:
     def test_fixture_files_pass(self, capsys):

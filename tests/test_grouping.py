@@ -5,6 +5,8 @@ these tests compare it with the Fraction-pair oracle in `_oracles.py` on
 lines whose coefficients are Gaussian rationals with denominators up to
 10^6, including lines with a = 0, non-real directions, parallel classes
 and forced concurrent pencils, and with sympy on random small inputs.
+The weight sums over vertices and classes, and both characteristic
+polynomials, are also checked over a residue-like weight vector.
 A vertex keeps its integer key; its point, derived on demand, is checked
 against the Fraction construction from that key, and the grouping itself
 is checked to build no coordinates.
@@ -19,7 +21,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linemono import GaussianRational, Line, WeightedArrangement, compute_combinatorics
+from linemono import (
+    FactoredUnityPoly,
+    GaussianRational,
+    Line,
+    WeightedArrangement,
+    charpoly_infinity,
+    charpoly_zero_closed,
+    compute_combinatorics,
+)
 
 from _oracles import brute_combinatorics, cadd, cmul
 
@@ -88,6 +98,27 @@ def _sort_key(v):
     return (x.re, x.im, y.re, y.im)
 
 
+def _assert_sums_match_oracle(cs, oracle, weights):
+    """vertex_sums, class_sums and both charpolys over `weights` against the oracle's sums."""
+    by_point = oracle["vertex_weight_sums"]
+    assert cs.vertex_sums(weights) == [by_point[_point(v)] for v in cs.vertices]
+    by_direction = oracle["class_weights"]
+    assert cs.class_sums(weights) == [
+        by_direction[(_pair(g.direction[0]), _pair(g.direction[1]))] for g in cs.directions
+    ]
+    d_e = oracle["d_e"]
+    zero = [(1, 1)]
+    zero += [(e, count - 1) for e, count in zip(weights, oracle["line_vertex_counts"])]
+    zero += [(by_point[point], len(lines) - 2) for point, lines in oracle["vertices"].items()]
+    assert charpoly_zero_closed(cs, weights) == FactoredUnityPoly(zero)
+    infinity = [(1, 1), (d_e, oracle["p"] - 2)]
+    infinity += [
+        (d_e - by_direction[direction], len(members) - 1)
+        for direction, members in oracle["class_members"].items()
+    ]
+    assert charpoly_infinity(cs, weights) == FactoredUnityPoly(infinity)
+
+
 def _assert_point_from_key(v):
     """`v.point` equals, in value and type, the point built from the key with Fractions."""
     x_re, x_im, y_re, y_im, n = v.key
@@ -100,15 +131,25 @@ def _assert_point_from_key(v):
     assert all(type(q) is Fraction for c in v.point for q in (c.re, c.im))
 
 
+# Residue-like weight vectors: positive, possibly all sharing a factor, no gcd condition.
+residue_vectors = st.tuples(
+    st.integers(1, 3), st.lists(st.integers(1, 9), min_size=20, max_size=20)
+).map(lambda drawn: [drawn[0] * r for r in drawn[1]])
+
+
 class TestAgainstOracle:
-    @given(gaussian_arrangements(), st.lists(st.integers(1, 9), max_size=16))
+    @given(
+        gaussian_arrangements(), st.lists(st.integers(1, 9), max_size=16), residue_vectors
+    )
     @settings(max_examples=100, deadline=None)
-    def test_grouping_matches_brute_force(self, raw, weights):
+    def test_grouping_matches_brute_force(self, raw, weights, residues):
         built = _build(raw, weights)
         assume(built is not None)
         kept, arr = built
         cs = compute_combinatorics(arr)
         oracle = brute_combinatorics(kept, arr.weights)
+        residues = residues[: cs.d]
+        _assert_sums_match_oracle(cs, brute_combinatorics(kept, residues), residues)
 
         assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
         assert all(v.multiplicity == len(v.incident) for v in cs.vertices)

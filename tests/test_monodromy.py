@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from linemono import (
     BadWeight,
+    CombinatorialSummary,
     FactoredUnityPoly,
     LengthMismatch,
     RootOfUnity,
@@ -18,6 +19,7 @@ from linemono import (
     charpoly_zero_closed,
     charpoly_zero_from_zeta,
     compute_combinatorics,
+    infinity_singularity_mu,
     local_zeta,
     parse_arrangement,
     strata,
@@ -46,6 +48,28 @@ class TestCharpolyInfinity:
     def test_weighted_triangle(self, weighted_triangle):
         poly = charpoly_infinity(compute_combinatorics(weighted_triangle))
         assert poly.factors == {1: 1, 4: 1}
+
+    def test_reads_class_sums_only(self, monkeypatch, eight_normal_crossing):
+        """The formulas at infinity sum weights over the classes, never over the vertices."""
+        cs = compute_combinatorics(eight_normal_crossing)
+        class_sums = CombinatorialSummary.class_sums
+        calls = []
+
+        def counted(self, weights):
+            calls.append(tuple(weights))
+            return class_sums(self, weights)
+
+        def refused(self, weights):
+            raise AssertionError("a per-vertex weight sum was built")
+
+        monkeypatch.setattr(CombinatorialSummary, "class_sums", counted)
+        monkeypatch.setattr(CombinatorialSummary, "vertex_sums", refused)
+        assert charpoly_infinity(cs).factors == {1: 1, 8: 2, 6: 4}
+        charpoly_infinity(cs, [1, 2] * 4)
+        assert betti1_general_fiber(cs) == 41
+        assert [infinity_singularity_mu(cs, j) for j in range(cs.p)] == [1] * 4
+        assert calls[:2] == [cs.weights, (1, 2) * 4]
+        assert len(calls) == 2 + 1 + cs.p
 
 
 class TestCharpolyZero:
