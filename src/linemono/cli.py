@@ -4,7 +4,9 @@ Commands: info, charpoly, zeta, bound, verify, census.  Each is one
 `cmd_*` function of its parsed options, with the file's summary `cs` in
 place of its path, that returns the payload and exit code; `_run` parses,
 builds the summary, runs the command and emits the payload for them all.
-All output is UTF-8 JSON with lexicographically sorted keys.  Exit codes:
+All output is UTF-8 JSON with lexicographically sorted keys, written by
+one emitter, `_emit`, whose bytes equal those of
+`json.dumps(payload, sort_keys=True, indent=2)`.  Exit codes:
 0 success (and --help), 1 invalid input, usage errors included (with a
 machine-readable error object), 2 internal invariant violation or a
 failed `verify` check, and EXIT_CLOSED_STDOUT when stdout is closed
@@ -16,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from functools import cache
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from .arrangement import CombinatorialSummary, compute_combinatorics, load_arrangement
 from .census import RunConfig, run_census, summarize
@@ -35,12 +37,81 @@ EXIT_CLOSED_STDOUT = 141
 Result = tuple[dict, int]  # a command's payload and exit code
 
 
+_INDENT = "  "
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+@cache
+def _encoder(item_separator: str, key_separator: str):
+    """CPython's C JSON encoder with sorted keys for one pair of separators, built once.
+
+    `json.dumps` builds a new encoder on every call, and with `indent` set
+    it runs the pure-Python one.
+    """
+    # Positional: markers (no cycle check), default, string encoder, indent,
+    # key_separator, item_separator, sort_keys, skipkeys, allow_nan.
+    return c_make_encoder(
+        None, JSONEncoder().default, encode_basestring_ascii, None,
+        key_separator, item_separator, True, False, True,
+    )
+
+
+@cache
+def _level(level: int) -> tuple:
+    """The text around the items of a container nested `level` deep, and its encoder.
+
+    The line break before the first item, the separator before each later
+    one, the line break before the closing bracket, and the C encoder that
+    writes a container of scalars with that separator between its items.
+    """
+    first = "\n" + _INDENT * (level + 1)
+    return first, "," + first, "\n" + _INDENT * level, _encoder("," + first, ": ")
+
+
+def _indented(value, level: int, out: list[str]) -> None:
+    """Append `value`, nested `level` deep, to `out` as `json.dumps(indent=2)` writes it.
+
+    A container that holds only scalars (or nothing) is written by one
+    call of the C encoder; only containers that hold containers are walked
+    here.  The payload is built of plain dicts with str keys, lists,
+    tuples and scalars.
+    """
+    first, separator, close, encode = _level(level)
+    kind = type(value)
+    items = value.values() if kind is dict else value
+    if kind not in _CONTAINERS or _CONTAINERS.isdisjoint(map(type, items)):
+        text = "".join(encode(value, level))
+        if kind in _CONTAINERS and value:  # the encoder puts no newline inside the brackets
+            out += (text[0], first, text[1:-1], close, text[-1])
+        else:
+            out.append(text)
+        return
+    lead = first
+    if kind is dict:
+        out.append("{")
+        for key, item in sorted(value.items()):
+            out += (lead, encode_basestring_ascii(key), ": ")
+            _indented(item, level + 1, out)
+            lead = separator
+        out += (close, "}")
+    else:
+        out.append("[")
+        for item in value:
+            out.append(lead)
+            _indented(item, level + 1, out)
+            lead = separator
+        out += (close, "]")
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    """Print `payload` as `json.dumps(payload, sort_keys=True, indent=2)` writes it."""
+    out: list[str] = []
+    _indented(payload, 0, out)
+    print("".join(out))
 
 
 def _emit_row(payload: dict, stream) -> None:
-    stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    stream.write("".join(_encoder(",", ":")(payload, 0)) + "\n")
 
 
 def cmd_info(cs: CombinatorialSummary) -> Result:
