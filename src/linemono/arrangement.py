@@ -5,9 +5,12 @@ canonical form (first nonzero coefficient among a, b scaled to 1) so that
 equality of equations and parallelism are decidable by exact comparison;
 `WeightedArrangement.build` rejects a line that is not canonical.
 The combinatorial summary collects everything the closed formulas consume:
-the vertices with their incident line sets, the direction classes (the
-points at infinity, kept purely combinatorial), the vertex multiplicity
-histogram and per-line vertex counts.  The geometry carries no weights:
+the vertices, the direction classes (the points at infinity, kept purely
+combinatorial), the vertex multiplicity histogram and per-line vertex
+counts.  The vertices are kept as three parallel columns in vertex order
+(integer keys, incident line sets, multiplicities); every formula reads
+the columns, and `CombinatorialSummary.vertices` builds `Vertex` objects
+from them only when read.  The geometry carries no weights:
 `CombinatorialSummary.vertex_sums` and `class_sums` sum a weight vector
 (the arrangement's own, or local-system residues) into d(I_v) and d_j.
 No epsilon appears anywhere; coincidence of intersection points is exact.
@@ -26,9 +29,12 @@ Vertices are grouped in integer arithmetic on the triples: two lines
 with Z = A1 B2 - A2 B1 != 0 meet at (X/Z, Y/Z), X = C2 B1 - C1 B2,
 Y = C1 A2 - C2 A1.  The key (X conj(Z), Y conj(Z), |Z|^2), five
 integers over their gcd, is the same for every pair through a point
-since |Z|^2 > 0.  A vertex keeps this key; no formula reads coordinates,
-so its point is derived from the key on demand, and vertices sort on
-integer floors of their scaled coordinates.
+since |Z|^2 > 0.  Only lines of distinct classes meet, so the pairs are
+visited one pair of classes at a time, where Z, X conj(Z) and
+Y conj(Z) factor through the class's direction key (`_intersections`).
+A vertex keeps its key; no formula reads coordinates, so its point is
+derived from the key on demand, and vertices sort on integer floors of
+their scaled coordinates.
 
 Arrangement documents are JSON:
 
@@ -48,6 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations
 from math import gcd, lcm
 
 from .errors import (
@@ -64,8 +71,8 @@ from .errors import (
 from .exact import GaussianRational, parse_coefficient
 
 # The d(d-1)/2 pairs of lines cost time and memory alike.  On 500 generic
-# lines `verify` takes about 3 s and 120 MB, `info` about 9 s and 330 MB
-# (2-vCPU x86-64 host, Python 3.11).
+# lines `verify` takes about 1-2 s and 100 MB, `info` about 4-6 s and
+# 300 MB (shared 2-vCPU x86-64 host, Python 3.11).
 LINE_LIMIT = 500
 
 
@@ -285,14 +292,29 @@ class DirectionClass:
 
 @dataclass(frozen=True)
 class CombinatorialSummary:
-    """All combinatorial data the invariant formulas consume."""
+    """All combinatorial data the invariant formulas consume.
+
+    The vertices are three parallel columns in vertex order: `keys`
+    (the integer point keys, sorted on their coordinates), `incidences`
+    (the frozenset of lines through each) and `multiplicities` (their
+    sizes).  `compute_combinatorics` fills them from its loop over pairs
+    of direction classes.  The formulas read the columns; `vertices`
+    zips them into `Vertex` objects the first time it is read.
+    """
 
     d: int
     weights: tuple[int, ...]
-    vertices: tuple[Vertex, ...]
+    keys: tuple[tuple[int, int, int, int, int], ...]
+    incidences: tuple[frozenset[int], ...]
+    multiplicities: tuple[int, ...]
     directions: tuple[DirectionClass, ...]
     histogram: dict[int, int]
     line_vertex_counts: tuple[int, ...]
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The columns zipped into `Vertex` objects, in vertex order."""
+        return tuple(map(Vertex, self.keys, self.incidences, self.multiplicities))
 
     @property
     def p(self) -> int:
@@ -311,8 +333,13 @@ class CombinatorialSummary:
         return self.weights if weights is None else _validated_weights(weights, self.d)
 
     def vertex_sums(self, weights) -> list[int]:
-        """d(I_v) for each vertex, in vertex order: `weights` summed over its lines."""
-        return [sum(map(weights.__getitem__, v.incident)) for v in self.vertices]
+        """d(I_v) for each vertex, in vertex order: `weights` summed over its lines.
+
+        With every weight 1 these are the multiplicities.
+        """
+        if all(e == 1 for e in weights):
+            return list(self.multiplicities)
+        return [sum(map(weights.__getitem__, incident)) for incident in self.incidences]
 
     def class_sums(self, weights) -> list[int]:
         """d_j for each direction class, in class order: `weights` summed over its members."""
@@ -338,18 +365,76 @@ class CombinatorialSummary:
             "p": self.p,
             "vertices": [
                 {
-                    "incident": sorted(v.incident),
-                    "multiplicity": v.multiplicity,
+                    "incident": sorted(incident),
+                    "multiplicity": m,
                     "point": [
-                        coordinate(v.key[0], v.key[1], v.key[4]).to_json(),
-                        coordinate(v.key[2], v.key[3], v.key[4]).to_json(),
+                        coordinate(x_re, x_im, n).to_json(),
+                        coordinate(y_re, y_im, n).to_json(),
                     ],
                     "weightSum": d_v,
                 }
-                for v, d_v in zip(self.vertices, self.vertex_sums(self.weights))
+                for (x_re, x_im, y_re, y_im, n), incident, m, d_v in zip(
+                    self.keys, self.incidences, self.multiplicities, self.vertex_sums(self.weights)
+                )
             ],
             "weights": list(self.weights),
         }
+
+
+def _intersections(
+    lines: tuple[Line, ...], classes: dict[tuple[int, ...], list[int]]
+) -> dict[tuple[int, ...], set[int]]:
+    """Each intersection point's key (module docstring) with the lines through it.
+
+    Lines of one class never meet, so only pairs of distinct classes J, K
+    are visited.  Line i of class J has triple (g_i a_J, g_i b_J, C_i),
+    (a_J, b_J) being the class's direction key, so a pair (i, j) from
+    J x K has Z = g_i g_j Z_JK with Z_JK = a_J b_K - a_K b_J != 0, and
+    its key over g_i g_j, which reduces by the gcd to the same primitive
+    key, is
+
+        (g_i P'_j - g_j P_i,  g_j Q_i - g_i Q'_j,  g_i g_j |Z_JK|^2)
+
+    with P_i = C_i b_K conj(Z_JK), Q_i = C_i a_K conj(Z_JK) for i in J
+    and P'_j = C_j b_J conj(Z_JK), Q'_j = C_j a_J conj(Z_JK) for j in K.
+    """
+    groups = [
+        (key, [(i, gcd(*lines[i].triple[:4]), *lines[i].triple[4:]) for i in members])
+        for key, members in classes.items()
+    ]
+    points: dict[tuple[int, ...], set[int]] = {}
+    for (key_j, rows_j), (key_k, rows_k) in combinations(groups, 2):
+        ar1, ai1, br1, bi1 = key_j
+        ar2, ai2, br2, bi2 = key_k
+        zr = ar1 * br2 - ai1 * bi2 - ar2 * br1 + ai2 * bi1
+        zi = ar1 * bi2 + ai1 * br2 - ar2 * bi1 - ai2 * br1
+        norm = zr * zr + zi * zi
+        # The other class's b and a times conj(Z_JK), as (re, im); then the rows
+        # (i, g_i, g_i |Z_JK|^2, P_i, Q_i) of J and (j, g_j, P'_j, Q'_j) of K.
+        bkr, bki = br2 * zr + bi2 * zi, bi2 * zr - br2 * zi
+        akr, aki = ar2 * zr + ai2 * zi, ai2 * zr - ar2 * zi
+        bjr, bji = br1 * zr + bi1 * zi, bi1 * zr - br1 * zi
+        ajr, aji = ar1 * zr + ai1 * zi, ai1 * zr - ar1 * zi
+        first = [
+            (i, g, g * norm, cr * bkr - ci * bki, cr * bki + ci * bkr,
+             cr * akr - ci * aki, cr * aki + ci * akr)
+            for i, g, cr, ci in rows_j
+        ]
+        second = [
+            (j, g, cr * bjr - ci * bji, cr * bji + ci * bjr,
+             cr * ajr - ci * aji, cr * aji + ci * ajr)
+            for j, g, cr, ci in rows_k
+        ]
+        for i, gi, gn, pr, pi, qr, qi in first:
+            for j, gj, sr, si, tr, ti in second:
+                x_re, x_im = gi * sr - gj * pr, gi * si - gj * pi
+                y_re, y_im = gj * qr - gi * tr, gj * qi - gi * ti
+                n = gn * gj
+                g = gcd(x_re, x_im, y_re, y_im, n)
+                if g != 1:
+                    x_re, x_im, y_re, y_im, n = x_re // g, x_im // g, y_re // g, y_im // g, n // g
+                points.setdefault((x_re, x_im, y_re, y_im, n), set()).update((i, j))
+    return points
 
 
 def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
@@ -359,27 +444,10 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     the summary is independent of input line order up to index relabeling.
     """
     d = arr.d
-    triples = [line.triple for line in arr.lines]
-
-    # Key: (X conj(Z), Y conj(Z), |Z|^2) over their gcd (module docstring).
-    points: dict[tuple[int, int, int, int, int], set[int]] = {}
-    for i, (ar1, ai1, br1, bi1, cr1, ci1) in enumerate(triples):
-        for j in range(i + 1, d):
-            ar2, ai2, br2, bi2, cr2, ci2 = triples[j]
-            zr = ar1 * br2 - ai1 * bi2 - ar2 * br1 + ai2 * bi1
-            zi = ar1 * bi2 + ai1 * br2 - ar2 * bi1 - ai2 * br1
-            if not (zr or zi):
-                continue
-            xr = cr2 * br1 - ci2 * bi1 - cr1 * br2 + ci1 * bi2
-            xi = cr2 * bi1 + ci2 * br1 - cr1 * bi2 - ci1 * br2
-            yr = cr1 * ar2 - ci1 * ai2 - cr2 * ar1 + ci2 * ai1
-            yi = cr1 * ai2 + ci1 * ar2 - cr2 * ai1 - ci2 * ar1
-            key = (xr * zr + xi * zi, xi * zr - xr * zi,
-                   yr * zr + yi * zi, yi * zr - yr * zi, zr * zr + zi * zi)
-            g = gcd(*key)
-            if g != 1:
-                key = tuple(k // g for k in key)
-            points.setdefault(key, set()).update((i, j))
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, line in enumerate(arr.lines):
+        classes.setdefault(line.direction_key, []).append(i)
+    points = _intersections(arr.lines, classes)
 
     # Distinct coordinates p/n != q/m differ by at least 1/(n m), so with
     # scale >= n m the floors of p * scale / n order them exactly.
@@ -389,14 +457,10 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         x_re, x_im, y_re, y_im, n = key
         return (x_re * scale // n, x_im * scale // n, y_re * scale // n, y_im * scale // n)
 
-    vertices = tuple(
-        Vertex(key=key, incident=frozenset(points[key]), multiplicity=len(points[key]))
-        for key in sorted(points, key=point_key)
-    )
+    keys = tuple(sorted(points, key=point_key))
+    incidences = tuple(map(frozenset, map(points.__getitem__, keys)))
+    multiplicities = tuple(map(len, incidences))
 
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, line in enumerate(arr.lines):
-        classes.setdefault(line.direction_key, []).append(i)
     heads = [(arr.lines[members[0]].direction, members) for members in classes.values()]
     heads.sort(key=lambda head: (*head[0][0].sort_key(), *head[0][1].sort_key()))
     directions = tuple(
@@ -408,23 +472,25 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         for direction, members in heads
     )
 
-    histogram = dict(Counter(v.multiplicity for v in vertices))
+    histogram = dict(Counter(multiplicities))
     counts = [0] * d
-    for v in vertices:
-        for i in v.incident:
+    for incident in incidences:
+        for i in incident:
             counts[i] += 1
 
     summary = CombinatorialSummary(
         d=d,
         weights=arr.weights,
-        vertices=vertices,
+        keys=keys,
+        incidences=incidences,
+        multiplicities=multiplicities,
         directions=directions,
         histogram=histogram,
         line_vertex_counts=tuple(counts),
     )
 
     # Incidence double count; failure would mean the grouping above is broken.
-    total = sum(v.multiplicity for v in vertices)
+    total = sum(multiplicities)
     if sum(counts) != total or sum(m * n for m, n in histogram.items()) != total:
         raise InternalCheckError("incidence double count failed")
     return summary

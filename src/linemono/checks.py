@@ -55,7 +55,7 @@ def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
     """Run every identity check on the summary; a doctored one provokes failures."""
     results: list[CheckResult] = []
 
-    incidence = sum(v.multiplicity for v in cs.vertices)
+    incidence = sum(cs.multiplicities)
     by_lines = sum(cs.line_vertex_counts)
     by_hist = sum(m * n for m, n in cs.histogram.items())
     results.append(
@@ -122,7 +122,7 @@ def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
     )
 
     mu = mu_arrangement(cs)
-    chi_fiber_zero = cs.d - sum(v.multiplicity - 1 for v in cs.vertices)
+    chi_fiber_zero = cs.d - sum(cs.multiplicities) + len(cs.multiplicities)
     results.append(
         _check(
             "euler-consistency",

@@ -162,7 +162,7 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
     zero = charpoly_zero_closed(cs, residues)
     infinity = charpoly_infinity(cs, residues)
     d_e = sum(residues)
-    vertices = [(d_v, v.multiplicity - 2) for v, d_v in zip(cs.vertices, cs.vertex_sums(residues))]
+    vertices = [(d_v, m - 2) for m, d_v in zip(cs.multiplicities, cs.vertex_sums(residues))]
     classes = [(d_e - d_j, g.count - 1) for g, d_j in zip(cs.directions, cs.class_sums(residues))]
     reports = []
     for n in orders:

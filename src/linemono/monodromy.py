@@ -52,7 +52,7 @@ def charpoly_zero_closed(cs: CombinatorialSummary, weights=None) -> FactoredUnit
     weights = cs.weight_vector(weights)
     factors = [(1, 1)]
     factors += [(e, count - 1) for e, count in zip(weights, cs.line_vertex_counts)]
-    factors += [(d_v, v.multiplicity - 2) for v, d_v in zip(cs.vertices, cs.vertex_sums(weights))]
+    factors += [(d_v, m - 2) for m, d_v in zip(cs.multiplicities, cs.vertex_sums(weights))]
     return FactoredUnityPoly(factors)
 
 
@@ -73,8 +73,8 @@ class StratumDescriptor:
 
 def strata(cs: CombinatorialSummary) -> Iterator[StratumDescriptor]:
     """The stratification of the zero fiber the zeta product runs over."""
-    for v, d_v in zip(cs.vertices, cs.vertex_sums(cs.weights)):
-        yield StratumDescriptor("vertex", weight_sum=d_v, multiplicity=v.multiplicity, euler=1)
+    for m, d_v in zip(cs.multiplicities, cs.vertex_sums(cs.weights)):
+        yield StratumDescriptor("vertex", weight_sum=d_v, multiplicity=m, euler=1)
     for e, count in zip(cs.weights, cs.line_vertex_counts):
         yield StratumDescriptor("open_line_piece", weight_sum=e, multiplicity=1, euler=1 - count)
 
@@ -142,8 +142,8 @@ def zeta_at_zero(cs: CombinatorialSummary) -> ZetaFunction:
     2 - m_v at d(I_v), the open piece of line j adds 1 - v_j at e_j.
     """
     exponents: dict[int, int] = {}
-    for v, d_v in zip(cs.vertices, cs.vertex_sums(cs.weights)):
-        exponents[d_v] = exponents.get(d_v, 0) + 2 - v.multiplicity
+    for m, d_v in zip(cs.multiplicities, cs.vertex_sums(cs.weights)):
+        exponents[d_v] = exponents.get(d_v, 0) + 2 - m
     for e, count in zip(cs.weights, cs.line_vertex_counts):
         exponents[e] = exponents.get(e, 0) + 1 - count
     return ZetaFunction(FactoredUnityPoly(exponents))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from linemono import compute_combinatorics
+from linemono import Vertex, compute_combinatorics, parse_arrangement
 from linemono.cli import EXIT_CLOSED_STDOUT, build_parser, main
 
 from conftest import EIGHT_NORMAL_CROSSING, TRIANGLE, TWO_AXES, WEIGHTED_TRIANGLE
@@ -574,6 +574,55 @@ class TestOneGeometryPass:
         assert main(["census", "--seed", "1", "--count", "20"]) == 0
         assert len(combinatorics_calls) == 20
         capsys.readouterr()
+
+
+# A 4-direction grid with triple and quadruple points; one offset is a Gaussian rational.
+GRID = {
+    "lines": [
+        {"a": a, "b": b, "c": c}
+        for a, b in ((1, 0), (0, 1), (1, 1), (1, -1))
+        for c in (-2, -1, 0, 1, 2, {"re": "1/2", "im": "1/3"})
+    ]
+}
+
+
+@pytest.fixture
+def vertex_calls(monkeypatch):
+    """Count constructions of `Vertex` made through any module's binding."""
+    import linemono.arrangement
+
+    return count_calls(monkeypatch, linemono.arrangement, "Vertex")
+
+
+class TestNoVertexObjects:
+    """Every command reads the summary's columns; only `cs.vertices` builds `Vertex` objects."""
+
+    def test_no_command_builds_a_vertex(self, capsys, tmp_path, vertex_calls):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(GRID))
+        for command in (
+            ["info"],
+            ["verify"],
+            ["charpoly", "--at", "zero"],
+            ["charpoly", "--at", "infinity"],
+            ["zeta"],
+            ["bound", "--order", "6"],
+        ):
+            assert main([command[0], str(path), *command[1:]]) == 0, command
+        assert main(["census", "--seed", "1", "--count", "20"]) == 0
+        capsys.readouterr()
+        assert vertex_calls == []
+
+    def test_vertices_zip_the_columns(self, vertex_calls):
+        cs = compute_combinatorics(parse_arrangement(GRID))
+        assert max(cs.histogram) == 4
+        vertices = cs.vertices
+        assert len(vertex_calls) == len(cs.keys)  # the patch does count
+        assert vertices == tuple(
+            Vertex(key, incident, m)
+            for key, incident, m in zip(cs.keys, cs.incidences, cs.multiplicities)
+        )
+        assert cs.vertices is vertices
 
 
 class TestOneSpectrumPerDraw:

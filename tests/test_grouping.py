@@ -15,6 +15,7 @@ is checked to build no coordinates.
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -221,6 +222,85 @@ class TestGenericLargeDenominators:
         assert keys == sorted(keys)
 
 
+def _c(re, im=0):
+    return (Fraction(re), Fraction(im))
+
+
+def _lines(directions, offsets):
+    return [(a, b, c) for a, b in directions for c in offsets]
+
+
+def _scales(arr):
+    """g_i: each line's triple over its class's direction key."""
+    return {gcd(*line.triple[:4]) for line in arr.lines}
+
+
+# (raw lines, a condition on the arrangement that makes the case what its id says)
+CLASS_PAIR_CASES = {
+    "non-real-directions": (
+        _lines(
+            [(_c(1), _c(0, 1)), (_c(1), _c(0, -1)), (_c(1), _c(1, 2)), (_c(0), _c(1))],
+            [_c(0), _c(1), _c(0, 1), _c(Fraction(1, 2), Fraction(1, 3)), _c(-2)],
+        ),
+        lambda arr: any(line.direction_key[1] or line.direction_key[3] for line in arr.lines),
+    ),
+    "fractional-offsets": (
+        _lines(
+            [(_c(1), _c(0)), (_c(0), _c(1)), (_c(1), _c(1)), (_c(1), _c(-1)),
+             (_c(1), _c(Fraction(1, 2)))],
+            [_c(0), _c(1), _c(Fraction(1, 2)), _c(Fraction(-3, 4)), _c(Fraction(1, 3)),
+             _c(Fraction(1, 2), Fraction(1, 5))],
+        ),
+        lambda arr: len(_scales(arr)) > 3,
+    ),
+    "two-classes": (
+        _lines([(_c(1), _c(0)), (_c(1), _c(1, 1))], [_c(Fraction(k, 3)) for k in range(-7, 8)]),
+        lambda arr: compute_combinatorics(arr).p == 2,
+    ),
+    "singleton-classes": (
+        _lines([(_c(1), _c(0)), (_c(0), _c(1))], [_c(k) for k in range(-2, 3)])
+        + [(_c(1), _c(1), _c(0)), (_c(1), _c(-1), _c(1)),
+           (_c(1), _c(0, 1), _c(Fraction(1, 2), -1))],
+        lambda arr: [g.count for g in compute_combinatorics(arr).directions].count(1) == 3,
+    ),
+}
+
+
+class TestClassPairs:
+    """Pairs are intersected per pair of direction classes, as g_i (class key) + C_i."""
+
+    @pytest.mark.parametrize("raw, condition", CLASS_PAIR_CASES.values(), ids=CLASS_PAIR_CASES)
+    def test_matches_brute_force(self, raw, condition):
+        kept, arr = _build(raw, [2, 3, 5, 7])
+        assert len(kept) == len(raw) and condition(arr)
+        cs = compute_combinatorics(arr)
+        oracle = brute_combinatorics(kept, arr.weights)
+        assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
+        assert cs.histogram == oracle["histogram"]
+        assert list(cs.line_vertex_counts) == oracle["line_vertex_counts"]
+        _assert_sums_match_oracle(cs, oracle, arr.weights)
+        keys = [_sort_key(v) for v in cs.vertices]
+        assert keys == sorted(keys)
+
+
+class TestWeightSums:
+    @given(gaussian_arrangements(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sums_over_the_columns(self, raw, data):
+        """All ones takes the multiplicity shortcut; other positive vectors sum per vertex."""
+        built = _build(raw)
+        assume(built is not None)
+        cs = compute_combinatorics(built[1])
+        drawn = data.draw(st.lists(st.integers(1, 9), min_size=cs.d, max_size=cs.d))
+        for weights in ([1] * cs.d, (1,) * cs.d, drawn):
+            assert cs.vertex_sums(weights) == [
+                sum(weights[i] for i in incident) for incident in cs.incidences
+            ]
+            assert cs.class_sums(weights) == [
+                sum(weights[i] for i in g.members) for g in cs.directions
+            ]
+
+
 class TestPointOnDemand:
     def test_grouping_builds_no_gaussian_rational(self):
         """The summary holds integer keys only; a point is built when it is read.
@@ -253,11 +333,13 @@ class TestPointOnDemand:
         assert max(cs.histogram) >= 3
 
     def test_peak_memory_of_generic_lines(self):
-        """No per-vertex objects beyond the key and the incidence set.
+        """No per-vertex objects beyond the key, the incidence set and its size.
 
         120 generic lines give 7140 vertices.  The peak traced during the
-        grouping measured 5.3 MiB (10.4 MiB when every vertex built its
-        point with Fractions); the bound is that measurement plus 30%.
+        grouping measured 4.8 MiB with the vertices kept as columns (5.3 MiB
+        with a `Vertex` object per vertex, 10.4 MiB when every vertex also
+        built its point with Fractions); the bound is that measurement plus
+        30%.
         """
         rng = random.Random(120)
         triples = set()
@@ -275,7 +357,7 @@ class TestPointOnDemand:
         finally:
             tracemalloc.stop()
         assert len(cs.vertices) == 7140
-        assert peak < 1.3 * 5.3 * 2**20
+        assert peak < 1.3 * 4.8 * 2**20
 
 
 def _random_gaussian(rng, max_den):

@@ -118,10 +118,13 @@ class TestCrossCheck:
 
     def test_vertex_sum_mismatch(self, monkeypatch, concurrent_four):
         cs = compute_combinatorics(concurrent_four)
-        triple = [v for v in cs.vertices if v.multiplicity == 3]
-        assert len(triple) == 1
-        without = tuple(v for v in cs.vertices if v.multiplicity != 3)
-        self._doctor(monkeypatch, "charpoly_zero_closed", replace(cs, vertices=without))
+        assert cs.multiplicities.count(3) == 1
+        kept = [k for k, m in enumerate(cs.multiplicities) if m != 3]
+        without = {
+            column: tuple(map(getattr(cs, column).__getitem__, kept))
+            for column in ("keys", "incidences", "multiplicities")
+        }
+        self._doctor(monkeypatch, "charpoly_zero_closed", replace(cs, **without))
         message = r"^vertex sum 1 != polynomial multiplicity 0$"
         with pytest.raises(InternalCheckError, match=message):
             bound_spectrum(cs, (1,) * cs.d, [2, 3])
