@@ -1,9 +1,8 @@
 """Weighted affine line arrangements and their combinatorial summary.
 
-A line is a*x + b*y + c = 0 with Gaussian-rational coefficients, stored in
-canonical form (first nonzero coefficient among a, b scaled to 1) so that
-equality of equations and parallelism are decidable by exact comparison;
-`WeightedArrangement.build` rejects a line that is not canonical.
+A line is a*x + b*y + c = 0 with Gaussian-rational coefficients, kept as
+an integer triple (below); its coefficients, read in canonical form
+(first nonzero coefficient among a, b scaled to 1), are derived from it.
 The combinatorial summary collects everything the closed formulas consume:
 the vertices, the direction classes (the points at infinity, kept purely
 combinatorial), the vertex multiplicity histogram and per-line vertex
@@ -15,15 +14,15 @@ from them only when read.  The geometry carries no weights:
 (the arrangement's own, or local-system residues) into d(I_v) and d_j.
 No epsilon appears anywhere; coincidence of intersection points is exact.
 
-Each line carries integer keys, computed once when it is built: its
-triple (Re A, Im A, Re B, Im B, Re C, Im C), the canonical form scaled by
-the lcm of its denominators to Gaussian integers A x + B y + C = 0, and
-its direction key (Re A, Im A, Re B, Im B) over their gcd.  A canonical
-line has a coefficient equal to 1, so its triple is primitive and
-positive there: canonical lines are equal exactly when their triples
-are, and parallel exactly when their direction keys are.  Duplicates,
-essentiality and direction classes are decided on these integer tuples,
-without hashing a Fraction.
+A line is kept as its triple (Re A, Im A, Re B, Im B, Re C, Im C): the
+equation A x + B y + C = 0 over the Gaussian integers, primitive, with a
+real positive lead (A, or B when A = 0).  `canonical_triple` computes it
+for the parser, `Line.canonical` and the census: clear the denominators,
+multiply by the conjugate of the lead, divide by the gcd.  `Line`
+accepts no other triple, so lines are equal exactly when their triples
+are, and parallel exactly when their direction keys (Re A, Im A, Re B,
+Im B over their gcd) are; no Gaussian rational is built until a
+coefficient is read.
 
 Vertices are grouped in integer arithmetic on the triples: two lines
 with Z = A1 B2 - A2 B1 != 0 meet at (X/Z, Y/Z), X = C2 B1 - C1 B2,
@@ -40,18 +39,18 @@ Arrangement documents are JSON:
 
     {"lines": [{"a": COEF, "b": COEF, "c": COEF, "e": INT?}, ...]}
 
-COEF is an integer, a rational string "p" or "p/q", or an object
-{"re": RAT, "im": RAT} (components optional, default 0).  The weight "e"
-is an optional positive integer, default 1.  Floating-point literals and
-repeated keys in any object are rejected outright, and so is an integer
-literal longer than the interpreter's digit limit (4300 by default).
+COEF is an integer, a rational string "p" or "p/q" in ASCII digits, or
+an object {"re": RAT, "im": RAT} (components optional, default 0).  The
+weight "e" is an optional positive integer, default 1.  Floating-point
+literals, repeated keys in any object and integer literals longer than
+the interpreter's digit limit (4300 by default) are rejected outright.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
@@ -76,45 +75,75 @@ from .exact import GaussianRational, parse_coefficient
 LINE_LIMIT = 500
 
 
+def canonical_triple(parts) -> tuple[int, int, int, int, int, int]:
+    """The primitive triple of a*x + b*y + c = 0 (module docstring).
+
+    `parts` are the six rationals Re a, Im a, Re b, Im b, Re c, Im c as
+    (numerator, denominator) pairs with positive denominators.
+    """
+    scale = lcm(*(den for _, den in parts))
+    ar, ai, br, bi, cr, ci = (num * (scale // den) for num, den in parts)
+    lr, li = (ar, ai) if ar or ai else (br, bi)
+    if not (lr or li):
+        raise ParseError("a line needs (a, b) != (0, 0)")
+    triple = (
+        ar * lr + ai * li, ai * lr - ar * li,
+        br * lr + bi * li, bi * lr - br * li,
+        cr * lr + ci * li, ci * lr - cr * li,
+    )
+    g = gcd(*triple)
+    return tuple(k // g for k in triple)
+
+
+def _coordinate(re: int, im: int, n: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, n), Fraction(im, n))
+
+
 @dataclass(frozen=True)
 class Line:
-    """a*x + b*y + c = 0 in canonical form, with its integer keys.
+    """a*x + b*y + c = 0, kept as its primitive triple (module docstring).
 
-    `triple` and `direction_key` (module docstring) are derived from the
-    coefficients when the line is built; they take no part in equality,
-    hashing or repr.
+    Only a canonical triple is accepted; `Line.canonical` builds the line
+    from any coefficients.  The canonical coefficients `a`, `b`, `c` and
+    the `direction_key` are derived from the triple when first read.
     """
 
-    a: GaussianRational
-    b: GaussianRational
-    c: GaussianRational
-    triple: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    direction_key: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    triple: tuple[int, int, int, int, int, int]
 
     def __post_init__(self):
-        parts = (self.a.re, self.a.im, self.b.re, self.b.im, self.c.re, self.c.im)
-        scale = lcm(*(q.denominator for q in parts))
-        triple = tuple(q.numerator * (scale // q.denominator) for q in parts)
-        g = gcd(*triple[:4]) or 1
-        object.__setattr__(self, "triple", triple)
-        object.__setattr__(self, "direction_key", tuple(k // g for k in triple[:4]))
+        t = self.triple
+        if not (
+            type(t) is tuple and len(t) == 6 and all(type(k) is int for k in t)
+            and t[1] == 0 and (t[0] > 0 or t[0] == 0 and t[2] > 0 and t[3] == 0)
+            and gcd(*t) == 1
+        ):
+            raise ParseError(
+                "not a canonical line triple (six integers with gcd 1 whose lead,"
+                " A or else B, is real and positive); use Line.canonical"
+            )
 
     @classmethod
     def canonical(cls, a: GaussianRational, b: GaussianRational, c: GaussianRational) -> "Line":
-        """The line with its first nonzero coefficient among a, b scaled to 1.
+        """The line a*x + b*y + c = 0 for any coefficients with (a, b) != (0, 0)."""
+        parts = [(q.numerator, q.denominator) for z in (a, b, c) for q in (z.re, z.im)]
+        return cls(canonical_triple(parts))
 
-        A real scale divides each component by a Fraction; only a
-        non-real scale needs the Gaussian quotient.
-        """
-        if a.is_zero and b.is_zero:
-            raise ParseError("a line needs (a, b) != (0, 0)")
-        scale = a if not a.is_zero else b
-        if scale.im:
-            return cls(a / scale, b / scale, c / scale)
-        if scale.re == 1:
-            return cls(a, b, c)
-        s = scale.re
-        return cls(*(GaussianRational(z.re / s, z.im / s) for z in (a, b, c)))
+    @cached_property
+    def a(self) -> GaussianRational:
+        return _coordinate(self.triple[0], self.triple[1], self.triple[0] or self.triple[2])
+
+    @cached_property
+    def b(self) -> GaussianRational:
+        return _coordinate(self.triple[2], self.triple[3], self.triple[0] or self.triple[2])
+
+    @cached_property
+    def c(self) -> GaussianRational:
+        return _coordinate(self.triple[4], self.triple[5], self.triple[0] or self.triple[2])
+
+    @cached_property
+    def direction_key(self) -> tuple[int, int, int, int]:
+        g = gcd(*self.triple[:4])
+        return tuple(k // g for k in self.triple[:4])
 
     @property
     def direction(self) -> tuple[GaussianRational, GaussianRational]:
@@ -130,11 +159,10 @@ class Line:
 
 @dataclass(frozen=True)
 class WeightedArrangement:
-    """Distinct canonical lines with positive integer multiplicities.
+    """Distinct lines with positive integer multiplicities.
 
-    Invariants: 2 <= d <= LINE_LIMIT, every line canonical
-    (`Line.canonical`), at least two direction classes (essential), and
-    gcd of the weights equal to 1.
+    Invariants: 2 <= d <= LINE_LIMIT, at least two direction classes
+    (essential), and gcd of the weights equal to 1.
     """
 
     lines: tuple[Line, ...]
@@ -150,9 +178,6 @@ class WeightedArrangement:
         _validated_weights(weights, len(lines))
         seen: dict[tuple[int, ...], int] = {}
         for i, line in enumerate(lines):
-            lead = line.b if line.a.is_zero else line.a
-            if lead.re != 1 or lead.im:
-                raise ParseError(f"line {i} is not canonical: {_shown(line)}; use Line.canonical")
             first = seen.setdefault(line.triple, i)
             if first != i:
                 raise DuplicateLine(f"lines {first} and {i} canonicalize to {_shown(line)}")
@@ -233,13 +258,8 @@ def parse_arrangement(document: str | bytes | dict) -> WeightedArrangement:
         missing = {"a", "b", "c"} - set(entry)
         if missing:
             raise ParseError(f"line {i} is missing keys: {sorted(missing)}")
-        lines.append(
-            Line.canonical(
-                parse_coefficient(entry["a"]),
-                parse_coefficient(entry["b"]),
-                parse_coefficient(entry["c"]),
-            )
-        )
+        parts = [part for key in "abc" for part in parse_coefficient(entry[key])]
+        lines.append(Line(canonical_triple(parts)))
         e = entry.get("e", 1)
         if type(e) is not int or e < 1:
             raise BadWeight(f"line {i}: weight must be a positive integer, got {e!r}")
@@ -277,17 +297,22 @@ class Vertex:
         return (_coordinate(x_re, x_im, n), _coordinate(y_re, y_im, n))
 
 
-def _coordinate(re: int, im: int, n: int) -> GaussianRational:
-    return GaussianRational(Fraction(re, n), Fraction(im, n))
-
-
 @dataclass(frozen=True)
 class DirectionClass:
-    """A maximal parallel class; combinatorial stand-in for a point at infinity."""
+    """A maximal parallel class; combinatorial stand-in for a point at infinity.
 
-    direction: tuple[GaussianRational, GaussianRational]
+    `key` is its lines' direction key (Re A, Im A, Re B, Im B);
+    `direction`, their canonical (a, b), is derived from it when first read.
+    """
+
+    key: tuple[int, int, int, int]
     members: frozenset[int]
     count: int
+
+    @cached_property
+    def direction(self) -> tuple[GaussianRational, GaussianRational]:
+        a_re, a_im, b_re, b_im = self.key
+        return (_coordinate(a_re, a_im, a_re or b_re), _coordinate(b_re, b_im, a_re or b_re))
 
 
 @dataclass(frozen=True)
@@ -450,8 +475,11 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     points = _intersections(arr.lines, classes)
 
     # Distinct coordinates p/n != q/m differ by at least 1/(n m), so with
-    # scale >= n m the floors of p * scale / n order them exactly.
-    scale = max((key[4] for key in points), default=1) ** 2
+    # scale >= n m the floors of p * scale / n order them exactly.  A class's
+    # key over its lead n (Re A, or Re B when A = 0) is its canonical (a, b),
+    # which orders the classes the same way.
+    heads = {(*key, key[0] or key[2]): members for key, members in classes.items()}
+    scale = max(max((key[4] for key in points), default=1), *(key[4] for key in heads)) ** 2
 
     def point_key(key):
         x_re, x_im, y_re, y_im, n = key
@@ -460,16 +488,9 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     keys = tuple(sorted(points, key=point_key))
     incidences = tuple(map(frozenset, map(points.__getitem__, keys)))
     multiplicities = tuple(map(len, incidences))
-
-    heads = [(arr.lines[members[0]].direction, members) for members in classes.values()]
-    heads.sort(key=lambda head: (*head[0][0].sort_key(), *head[0][1].sort_key()))
     directions = tuple(
-        DirectionClass(
-            direction=direction,
-            members=frozenset(members),
-            count=len(members),
-        )
-        for direction, members in heads
+        DirectionClass(key=head[:4], members=frozenset(members), count=len(members))
+        for head, members in sorted(heads.items(), key=lambda item: point_key(item[0]))
     )
 
     histogram = dict(Counter(multiplicities))

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
-from .arrangement import Line, WeightedArrangement, compute_combinatorics
+from .arrangement import Line, WeightedArrangement, canonical_triple, compute_combinatorics
 from .checks import battery_passed, run_battery
 from .errors import DuplicateLine, InternalCheckError, NotEssential, ParseError
-from .exact import GaussianRational
 from .localsys import bound_spectrum
 
 _MASK64 = (1 << 64) - 1
@@ -69,7 +68,7 @@ class SplitMix64:
 def _census_line(direction: int, offset: int) -> Line:
     """The canonical line of DIRECTIONS[direction] with this offset, built once."""
     a, b = DIRECTIONS[direction]
-    return Line.canonical(*(GaussianRational.of(n) for n in (a, b, offset)))
+    return Line(canonical_triple([(a, 1), (0, 1), (b, 1), (0, 1), (offset, 1), (0, 1)]))
 
 
 def draw_arrangement(rng: SplitMix64, max_lines: int) -> WeightedArrangement:

@@ -1,10 +1,11 @@
-"""Exact scalar arithmetic: Gaussian rationals and roots of unity.
+"""Exact scalars: rational literals, Gaussian rationals, roots of unity.
 
-Rational numbers are plain :class:`fractions.Fraction` values (always
-reduced, denominator >= 1).  A Gaussian rational is a pair of Fractions
-re + im*i; equality is componentwise and all arithmetic is exact.  Roots
-of unity are stored as reduced fractions k/order of a full turn, never as
-floating point, so divisibility questions about them are integer tests.
+A rational literal parses to integers (numerator, denominator), and the
+parser builds lines from those.  A Gaussian rational re + im*i, a pair of
+Fractions, is a value and display type only: what a coefficient or a
+coordinate reads as and is written out as.  Roots of unity are stored as
+reduced fractions k/order of a full turn, never as floating point, so
+divisibility questions about them are integer tests.
 """
 
 from __future__ import annotations
@@ -16,16 +17,17 @@ from math import gcd
 
 from .errors import ParseError
 
-_RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = _re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
-def parse_rational(value) -> Fraction:
+def parse_rational(value) -> tuple[int, int]:
     """Parse an exact rational from a JSON scalar: an int, "p" or "p/q".
 
-    Floating-point input is rejected; exactness is the whole point.
+    Returns (numerator, denominator), denominator >= 1.  Floating-point
+    input is rejected; exactness is the whole point.
     """
     if type(value) is int:
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
@@ -37,8 +39,18 @@ def parse_rational(value) -> Fraction:
             raise ParseError(f"integer literal: {exc}") from exc
         if den == 0:
             raise ParseError(f"zero denominator: {value!r}")
-        return Fraction(num, den)
+        return num, den
     raise ParseError(f"expected an integer or 'p/q' string, got {value!r}")
+
+
+def parse_coefficient(value) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Parse a COEF, an exact rational scalar or {"re": RAT, "im": RAT}, into its two parts."""
+    if isinstance(value, dict):
+        unknown = set(value) - {"re", "im"}
+        if unknown:
+            raise ParseError(f"unknown coefficient keys: {sorted(unknown)}")
+        return parse_rational(value.get("re", 0)), parse_rational(value.get("im", 0))
+    return parse_rational(value), (0, 1)
 
 
 @dataclass(frozen=True)
@@ -51,28 +63,6 @@ class GaussianRational:
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
         return cls(Fraction(re), Fraction(im))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.re, self.im)
@@ -90,19 +80,6 @@ class GaussianRational:
         if self.im == 0:
             return str(self.re)
         return {"im": str(self.im), "re": str(self.re)}
-
-
-def parse_coefficient(value) -> GaussianRational:
-    """Parse a COEF: an exact rational scalar or {"re": RAT, "im": RAT}."""
-    if isinstance(value, dict):
-        unknown = set(value) - {"re", "im"}
-        if unknown:
-            raise ParseError(f"unknown coefficient keys: {sorted(unknown)}")
-        return GaussianRational(
-            parse_rational(value.get("re", 0)),
-            parse_rational(value.get("im", 0)),
-        )
-    return GaussianRational(parse_rational(value))
 
 
 @dataclass(frozen=True)

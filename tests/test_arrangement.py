@@ -22,8 +22,16 @@ from linemono import (
 from linemono.arrangement import LINE_LIMIT
 from linemono.errors import TooManyLines
 
-from _oracles import brute_combinatorics
+from _oracles import as_complex, brute_combinatorics, cadd, cmul
 from conftest import EIGHT_NORMAL_CROSSING
+
+
+# Arabic-Indic one and three, fullwidth 1/2: Unicode decimal digits, not ASCII.
+NON_ASCII_DIGITS = [
+    '{"lines": [{"a": "\u0661", "b": 0, "c": 0}, {"a": 0, "b": "\uff11/\uff12", "c": "\u0663"}]}',
+    '{"lines": [{"a": 1, "b": 0, "c": "1/\u0663"}, {"a": 0, "b": 1, "c": 0}]}',
+    '{"lines": [{"a": 1, "b": 0, "c": {"im": "\uff12"}}, {"a": 0, "b": 1, "c": 0}]}',
+]
 
 
 class TestParsing:
@@ -114,6 +122,7 @@ class TestParsing:
             '{"lines": [{"a": {"re": 1, "imag": 0}, "b": 0, "c": 0}, {"a": 0, "b": 1, "c": 0}]}',
             '{"lines": 3}',
             '{"lines": [{"a": 1, "b": 0, "c": 0}], "extra": 1}',
+            *NON_ASCII_DIGITS,
         ],
     )
     def test_parse_errors(self, document):
@@ -311,20 +320,18 @@ class TestInvarianceProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_affine_map_invariance(self, specs, affine):
-        alpha, beta, gamma, delta, s, u = affine
         base = build_arrangement(specs)
-        # substitute (x, y) -> (alpha x + beta y + s, gamma x + delta y + u)
+        # substitute (x, y) -> (al x + be y + s_, ga x + de y + u_)
+        al, be, ga, de, s_, u_ = map(as_complex, affine)
         mapped_lines = []
         for line, e in zip(base.lines, base.weights):
-            a, b, c = line.a, line.b, line.c
-            ga = GaussianRational.of
-            mapped_lines.append(
-                Line.canonical(
-                    a * ga(alpha) + b * ga(gamma),
-                    a * ga(beta) + b * ga(delta),
-                    a * ga(s) + b * ga(u) + c,
-                )
+            a, b, c = ((z.re, z.im) for z in (line.a, line.b, line.c))
+            coefficients = (
+                cadd(cmul(a, al), cmul(b, ga)),
+                cadd(cmul(a, be), cmul(b, de)),
+                cadd(cadd(cmul(a, s_), cmul(b, u_)), c),
             )
+            mapped_lines.append(Line.canonical(*(GaussianRational(*z) for z in coefficients)))
         from linemono import WeightedArrangement
 
         mapped = WeightedArrangement.build(mapped_lines, list(base.weights))

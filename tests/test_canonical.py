@@ -1,14 +1,17 @@
 """Canonical lines and their integer keys against Fraction oracles.
 
-`Line.canonical` divides a real scale out componentwise and uses the
-general Gaussian quotient only for a non-real scale.  Each line carries
-its lcm-scaled Gaussian-integer triple and its primitive direction key,
-and `WeightedArrangement.build` decides duplicate lines and essentiality
-on those integer tuples.  These tests compare all of it with the
-Fraction-pair quotient of `_oracles.py` and with Fraction equality, on
-real scales other than +-1, negative scales, non-real scales and a = 0.
+A line is its primitive Gaussian-integer triple, computed from integer
+(numerator, denominator) pairs by one routine that `Line.canonical` and
+the parser share; `Line` refuses any other triple, and the coefficients
+and the direction key are derived from the triple.
+`WeightedArrangement.build` decides duplicate lines and essentiality on
+the integer tuples.  These tests compare all of it with the Fraction-pair
+quotient of `_oracles.py` and with Fraction equality, on real scales
+other than +-1, negative scales, non-real scales and a = 0, through
+`Line.canonical` and through JSON documents alike.
 """
 
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,6 +32,10 @@ from linemono import (
 from _oracles import cdiv, cmul
 
 ZERO = (Fraction(0), Fraction(0))
+NOT_CANONICAL = (
+    "not a canonical line triple (six integers with gcd 1 whose lead,"
+    " A or else B, is real and positive); use Line.canonical"
+)
 
 rationals = st.one_of(
     st.integers(-6, 6).map(Fraction),
@@ -91,11 +98,11 @@ class TestCanonicalForm:
         line = line_of(raw)
         canon = oracle_canonical(raw)
         assert (pair(line.a), pair(line.b), pair(line.c)) == canon
-        assert str(line) == str(Line(*(gaussian(z) for z in canon)))
+        assert str(line) == str(Line.canonical(*(gaussian(z) for z in canon)))
 
-    @given(raw_lines())
+    @given(raw_lines(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_triple_and_direction_key(self, raw):
+    def test_triple_and_direction_key(self, raw, data):
         line = line_of(raw)
         canon = oracle_canonical(raw)
         assert line.triple == oracle_triple(canon)
@@ -108,16 +115,61 @@ class TestCanonicalForm:
         g = gcd(*line.triple[:4])
         assert line.direction_key == tuple(k // g for k in line.triple[:4])
         assert gcd(*line.direction_key) == 1 and line.direction_key[unit] > 0
+        # The parser's integer route gives the same triple.
+        entry = dict(zip("abc", (coefficient(data.draw, z) for z in raw)))
+        assert parsed_triple(entry, canon) == oracle_triple(canon)
+
+    def test_parser_route_with_coefficients_at_the_digit_limit(self):
+        """4300-digit parts, a non-real lead: products far over the limit, none turned into text."""
+        big = 10**4299 + 3
+        raw = (
+            (Fraction(big), Fraction(-(big - 7))),
+            (Fraction(1, big), Fraction(big - 1)),
+            (Fraction(big - 2, big - 5), Fraction(0)),
+        )
+        entry = {
+            "a": {"re": str(big), "im": str(-(big - 7))},
+            "b": {"re": f"1/{big}", "im": big - 1},
+            "c": f"{big - 2}/{big - 5}",
+        }
+        canon = oracle_canonical(raw)
+        triple = parsed_triple(entry, canon)
+        assert triple == oracle_triple(canon) == line_of(raw).triple
+        assert min(abs(k) for k in triple if k) > 10**12000  # each entry far over 4300 digits
 
     def test_keys_take_no_part_in_equality_or_repr(self):
         one, half = GaussianRational.of(1), GaussianRational.of(Fraction(1, 2))
         line = Line.canonical(GaussianRational.of(2), one, one)
-        assert line == Line(one, half, half)
-        assert hash(line) == hash(Line(one, half, half))
+        assert line == Line.canonical(one, half, half)
+        assert hash(line) == hash(Line.canonical(one, half, half))
         assert line.triple == (2, 0, 1, 0, 1, 0)
         assert line.direction_key == (2, 0, 1, 0)
-        assert "triple" not in repr(line) and "direction_key" not in repr(line)
+        assert repr(line) == "Line(triple=(2, 0, 1, 0, 1, 0))"
+        assert "direction_key" not in repr(line)
         assert str(line) == "(1)x + (1/2)y + (1/2) = 0"
+
+
+def literal(draw, q):
+    """q as an int, "p", "p/q", or "p/q" times a common factor."""
+    forms = [str(q), f"{q.numerator * 3}/{q.denominator * 3}"]
+    if q.denominator == 1:
+        forms.append(q.numerator)
+    return draw(st.sampled_from(forms))
+
+
+def coefficient(draw, z):
+    """A COEF for the (re, im) pair z: a scalar when real, or an object."""
+    re, im = z
+    if im == 0 and draw(st.booleans()):
+        return literal(draw, re)
+    return {"re": literal(draw, re), "im": literal(draw, im)}
+
+
+def parsed_triple(entry, canon):
+    """The triple of `entry` parsed from a JSON document beside a line of another class."""
+    other = {"a": 1, "b": 0, "c": 0} if canon[0] == ZERO else {"a": 0, "b": 1, "c": 0}
+    arr = parse_arrangement(json.dumps({"lines": [entry, other]}))
+    return arr.lines[0].triple
 
 
 def oracle_build(raws):
@@ -126,7 +178,7 @@ def oracle_build(raws):
     for j in range(len(canon)):
         for i in range(j):
             if canon[i] == canon[j]:
-                shown = Line(*(gaussian(z) for z in canon[j]))
+                shown = Line.canonical(*(gaussian(z) for z in canon[j]))
                 return DuplicateLine, f"lines {i} and {j} canonicalize to {shown}"
     if len(canon) < 2 or len({(a, b) for a, b, _ in canon}) < 2:
         return NotEssential, "need at least two non-parallel lines"
@@ -179,33 +231,29 @@ class TestBuildDecisions:
         assert str(info.value) == (
             "lines 0 and 2 canonicalize to a line with a coefficient too long to write out"
         )
-        one, zero = GaussianRational.of(1), GaussianRational.of(0)
-        unscaled = Line(GaussianRational.of(big), GaussianRational.of(big * big), zero)
         with pytest.raises(ParseError) as info:
-            WeightedArrangement.build([unscaled, Line(zero, one, zero)], [1, 1])
-        assert str(info.value) == (
-            "line 0 is not canonical: a line with a coefficient too long to write out;"
-            " use Line.canonical"
-        )
+            Line((big, 0, big * big, 0, 0, 0))
+        assert str(info.value) == NOT_CANONICAL
 
     def test_non_canonical_line_rejected(self):
-        # Unscaled, Line(2, 0, 0) is x = 0 again; accepted, it would pass the
+        # Unscaled, 2x = 0 is x = 0 again; accepted, it would pass the
         # duplicate test and break the identities downstream.
-        one, two, zero = GaussianRational.of(1), GaussianRational.of(2), GaussianRational.of(0)
-        lines = [Line(two, zero, zero), Line(one, zero, zero), Line(zero, one, zero)]
+        assert Line((1, 0, 0, 0, 0, 0)) == Line.canonical(*map(GaussianRational.of, (1, 0, 0)))
         with pytest.raises(ParseError) as info:
-            WeightedArrangement.build(lines, [1, 1, 1])
-        assert str(info.value) == (
-            "line 0 is not canonical: (2)x + (0)y + (0) = 0; use Line.canonical"
-        )
-        for lead in (GaussianRational.of(0, 1), GaussianRational.of(-1), zero):
-            with pytest.raises(ParseError, match="line 1 is not canonical"):
-                WeightedArrangement.build([lines[1], Line(zero, lead, one)], [1, 1])
+            Line((2, 0, 0, 0, 0, 0))
+        assert str(info.value) == NOT_CANONICAL
+        for lead in ((0, 1), (-1, 0), (0, 0)):  # b = i, b = -1, b = 0; a = 0 and c = 1
+            with pytest.raises(ParseError, match="not a canonical line triple"):
+                Line((0, 0, *lead, 1, 0))
 
     @given(raw_lines())
     @settings(max_examples=150, deadline=None)
     def test_only_canonical_lines_accepted(self, raw):
-        line = Line(*(gaussian(z) for z in raw))
-        canonical = line == line_of(raw)
-        with pytest.raises(NotEssential if canonical else ParseError):
-            WeightedArrangement.build([line], [1])
+        unscaled = oracle_triple(raw)  # raw over its common denominator, no lead scaled out
+        canonical = unscaled == line_of(raw).triple
+        if canonical:
+            with pytest.raises(NotEssential):
+                WeightedArrangement.build([Line(unscaled)], [1])
+        else:
+            with pytest.raises(ParseError):
+                Line(unscaled)

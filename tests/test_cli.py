@@ -8,10 +8,11 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from linemono import Vertex, compute_combinatorics, parse_arrangement
+from linemono import GaussianRational, Vertex, compute_combinatorics, parse_arrangement
 from linemono.cli import EXIT_CLOSED_STDOUT, build_parser, main
 
 from conftest import EIGHT_NORMAL_CROSSING, TRIANGLE, TWO_AXES, WEIGHTED_TRIANGLE
@@ -623,6 +624,48 @@ class TestNoVertexObjects:
             for key, incident, m in zip(cs.keys, cs.incidences, cs.multiplicities)
         )
         assert cs.vertices is vertices
+
+
+@pytest.fixture
+def gaussian_rationals():
+    """Record every `GaussianRational` constructed while the fixture is active."""
+    built = []
+    original = GaussianRational.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    with mock.patch.object(GaussianRational, "__init__", counting_init):
+        yield built
+
+
+class TestNoGaussianRationals:
+    """Lines and vertices are integer keys; a Gaussian rational is built only to be written out."""
+
+    def test_parse_and_combinatorics_build_none(self, gaussian_rationals):
+        cs = compute_combinatorics(parse_arrangement(GRID))
+        assert gaussian_rationals == []
+        assert cs.directions[0].direction
+        assert len(gaussian_rationals) == 2  # the patch does count
+
+    def test_commands_that_write_no_coefficient_build_none(
+        self, capsys, tmp_path, gaussian_rationals
+    ):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(GRID))
+        for command in (
+            ["verify"],
+            ["charpoly", "--at", "zero"],
+            ["charpoly", "--at", "infinity"],
+            ["zeta"],
+            ["bound", "--order", "6"],
+        ):
+            assert main([command[0], str(path), *command[1:]]) == 0, command
+        assert gaussian_rationals == []
+        assert main(["info", str(path)]) == 0  # writes coefficients out, so it builds them
+        assert gaussian_rationals
+        capsys.readouterr()
 
 
 class TestOneSpectrumPerDraw:

@@ -185,15 +185,27 @@ class TestAgainstOracle:
         _, arr = built
         cs = compute_combinatorics(arr)
         for v in cs.vertices:
+            x, y = _point(v)
             through = [
                 i
                 for i, line in enumerate(arr.lines)
-                if (line.a * v.point[0] + line.b * v.point[1] + line.c).is_zero
+                if cadd(cadd(cmul(_pair(line.a), x), cmul(_pair(line.b), y)), _pair(line.c)) == ZERO
             ]
             assert through == sorted(v.incident)
 
 
 class TestGenericLargeDenominators:
+    def test_farey_neighbour_directions_sort_apart(self):
+        """Directions b = 1/1001 and b = 1/1000 sort apart, though the only vertex is the origin."""
+        ga = GaussianRational.of
+        equations = [(1000, 1, 0), (1001, 1, 0), (1, 0, 0)]
+        lines = [Line.canonical(ga(a), ga(b), ga(c)) for a, b, c in equations]
+        cs = compute_combinatorics(WeightedArrangement.build(lines, [1] * 3))
+        assert cs.keys == ((0, 0, 0, 0, 1),)
+        assert [g.direction[1].re for g in cs.directions] == [
+            0, Fraction(1, 1001), Fraction(1, 1000)
+        ]
+
     def test_farey_neighbours_sort_apart(self):
         """x = 1/1001 and x = 1/1000 differ by 1/(1000 * 1001): still ordered by x first."""
         ga = GaussianRational.of
