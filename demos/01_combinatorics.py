@@ -4,12 +4,15 @@ Everything downstream (characteristic polynomials, zeta functions, bounds)
 is a function of the data printed here: vertices with incident lines,
 direction classes, and the multiplicity histogram.  The summary stores no
 weights beyond the weight vector; the weight sums below come from
-`cs.class_sums(w)` and `cs.vertex_sums(w)`.
+`cs.class_sums(w)` and `cs.vertex_sums(w)`.  A vertex is its integer key
+(x_re, x_im, y_re, y_im, n), the point ((x_re + x_im i)/n, (y_re + y_im i)/n),
+written out here by the package's exact formatter.
 """
 
 from pathlib import Path
 
 from linemono import compute_combinatorics, load_arrangement
+from linemono.exact import gaussian_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,7 +34,8 @@ for name in (
     print(f"  multiplicity histogram n_m = { {m: n for m, n in sorted(cs.histogram.items())} }")
     print(f"  vertices on each line v_j = {list(cs.line_vertex_counts)}")
     for v, d_v in zip(cs.vertices[:4], cs.vertex_sums(w)):
-        x, y = v.point
+        x_re, x_im, y_re, y_im, n = v.key
+        x, y = gaussian_text(x_re, x_im, n), gaussian_text(y_re, y_im, n)
         print(f"    vertex ({x}, {y}): lines {sorted(v.incident)}, "
               f"multiplicity {v.multiplicity}, weight sum {d_v}")
     if len(cs.vertices) > 4:

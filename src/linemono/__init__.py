@@ -47,7 +47,7 @@ from .errors import (
     TrivialMonodromy,
     WeightedNotSupported,
 )
-from .exact import GaussianRational, RootOfUnity
+from .exact import RootOfUnity
 from .factored import (
     EXPAND_LIMIT,
     INDEX_LIMIT,
@@ -101,7 +101,6 @@ __all__ = [
     "EXPAND_LIMIT",
     "ExpandTooLarge",
     "FactoredUnityPoly",
-    "GaussianRational",
     "INDEX_LIMIT",
     "IndexTooLarge",
     "InputError",

@@ -1,8 +1,8 @@
 """Weighted affine line arrangements and their combinatorial summary.
 
 A line is a*x + b*y + c = 0 with Gaussian-rational coefficients, kept as
-an integer triple (below); its coefficients, read in canonical form
-(first nonzero coefficient among a, b scaled to 1), are derived from it.
+an integer triple (below); its canonical coefficients (first nonzero
+coefficient among a, b scaled to 1) are the triple over its real lead.
 The combinatorial summary collects everything the closed formulas consume:
 the vertices, the direction classes (the points at infinity, kept purely
 combinatorial), the vertex multiplicity histogram and per-line vertex
@@ -16,13 +16,13 @@ No epsilon appears anywhere; coincidence of intersection points is exact.
 
 A line is kept as its triple (Re A, Im A, Re B, Im B, Re C, Im C): the
 equation A x + B y + C = 0 over the Gaussian integers, primitive, with a
-real positive lead (A, or B when A = 0).  `canonical_triple` computes it
-for the parser, `Line.canonical` and the census: clear the denominators,
+real positive lead (A, or B when A = 0).  `Line.canonical` computes it
+from COEF values for the parser and the census: clear the denominators,
 multiply by the conjugate of the lead, divide by the gcd.  `Line`
 accepts no other triple, so lines are equal exactly when their triples
 are, and parallel exactly when their direction keys (Re A, Im A, Re B,
-Im B over their gcd) are; no Gaussian rational is built until a
-coefficient is read.
+Im B over their gcd) are.  No rational is ever built: a coefficient or
+a coordinate is written straight from its integers (`exact`).
 
 Vertices are grouped in integer arithmetic on the triples: two lines
 with Z = A1 B2 - A2 B1 != 0 meet at (X/Z, Y/Z), X = C2 B1 - C1 B2,
@@ -32,8 +32,8 @@ since |Z|^2 > 0.  Only lines of distinct classes meet, so the pairs are
 visited one pair of classes at a time, where Z, X conj(Z) and
 Y conj(Z) factor through the class's direction key (`_intersections`).
 A vertex keeps its key; no formula reads coordinates, so its point is
-derived from the key on demand, and vertices sort on integer floors of
-their scaled coordinates.
+written from the key only in `CombinatorialSummary.to_json`, and
+vertices sort on integer floors of their scaled coordinates.
 
 Arrangement documents are JSON:
 
@@ -51,8 +51,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
@@ -67,7 +66,7 @@ from .errors import (
     ParseError,
     TooManyLines,
 )
-from .exact import GaussianRational, parse_coefficient
+from .exact import gaussian_json, gaussian_text, parse_coefficient
 
 # The d(d-1)/2 pairs of lines cost time and memory alike.  On 500 generic
 # lines `verify` takes about 1-2 s and 100 MB, `info` about 4-6 s and
@@ -75,28 +74,10 @@ from .exact import GaussianRational, parse_coefficient
 LINE_LIMIT = 500
 
 
-def canonical_triple(parts) -> tuple[int, int, int, int, int, int]:
-    """The primitive triple of a*x + b*y + c = 0 (module docstring).
-
-    `parts` are the six rationals Re a, Im a, Re b, Im b, Re c, Im c as
-    (numerator, denominator) pairs with positive denominators.
-    """
-    scale = lcm(*(den for _, den in parts))
-    ar, ai, br, bi, cr, ci = (num * (scale // den) for num, den in parts)
-    lr, li = (ar, ai) if ar or ai else (br, bi)
-    if not (lr or li):
-        raise ParseError("a line needs (a, b) != (0, 0)")
-    triple = (
-        ar * lr + ai * li, ai * lr - ar * li,
-        br * lr + bi * li, bi * lr - br * li,
-        cr * lr + ci * li, ci * lr - cr * li,
-    )
-    g = gcd(*triple)
-    return tuple(k // g for k in triple)
-
-
-def _coordinate(re: int, im: int, n: int) -> GaussianRational:
-    return GaussianRational(Fraction(re, n), Fraction(im, n))
+def _over_lead(key, form) -> list:
+    """Each (re, im) pair of a line triple or direction key over its real lead, in `form`."""
+    n = key[0] or key[2]
+    return [form(key[k], key[k + 1], n) for k in range(0, len(key), 2)]
 
 
 @dataclass(frozen=True)
@@ -104,8 +85,8 @@ class Line:
     """a*x + b*y + c = 0, kept as its primitive triple (module docstring).
 
     Only a canonical triple is accepted; `Line.canonical` builds the line
-    from any coefficients.  The canonical coefficients `a`, `b`, `c` and
-    the `direction_key` are derived from the triple when first read.
+    from any coefficients.  The `direction_key` is derived from the
+    triple when first read.
     """
 
     triple: tuple[int, int, int, int, int, int]
@@ -123,38 +104,36 @@ class Line:
             )
 
     @classmethod
-    def canonical(cls, a: GaussianRational, b: GaussianRational, c: GaussianRational) -> "Line":
-        """The line a*x + b*y + c = 0 for any coefficients with (a, b) != (0, 0)."""
-        parts = [(q.numerator, q.denominator) for z in (a, b, c) for q in (z.re, z.im)]
-        return cls(canonical_triple(parts))
+    def canonical(cls, a, b, c) -> "Line":
+        """The line a*x + b*y + c = 0 for COEF values with (a, b) != (0, 0).
 
-    @cached_property
-    def a(self) -> GaussianRational:
-        return _coordinate(self.triple[0], self.triple[1], self.triple[0] or self.triple[2])
-
-    @cached_property
-    def b(self) -> GaussianRational:
-        return _coordinate(self.triple[2], self.triple[3], self.triple[0] or self.triple[2])
-
-    @cached_property
-    def c(self) -> GaussianRational:
-        return _coordinate(self.triple[4], self.triple[5], self.triple[0] or self.triple[2])
+        A COEF is an int, a rational string "p" or "p/q", or
+        {"re": RAT, "im": RAT}, as in an arrangement document.
+        """
+        parts = [part for z in (a, b, c) for part in parse_coefficient(z)]
+        scale = lcm(*(den for _, den in parts))
+        ar, ai, br, bi, cr, ci = (num * (scale // den) for num, den in parts)
+        lr, li = (ar, ai) if ar or ai else (br, bi)
+        if not (lr or li):
+            raise ParseError("a line needs (a, b) != (0, 0)")
+        triple = (
+            ar * lr + ai * li, ai * lr - ar * li,
+            br * lr + bi * li, bi * lr - br * li,
+            cr * lr + ci * li, ci * lr - cr * li,
+        )
+        g = gcd(*triple)
+        return cls(tuple(k // g for k in triple))
 
     @cached_property
     def direction_key(self) -> tuple[int, int, int, int]:
         g = gcd(*self.triple[:4])
         return tuple(k // g for k in self.triple[:4])
 
-    @property
-    def direction(self) -> tuple[GaussianRational, GaussianRational]:
-        """Projective class of (a, b); equal for parallel lines."""
-        return (self.a, self.b)
-
     def coeff_string(self) -> str:
-        return f"{self.a},{self.b},{self.c}"
+        return ",".join(_over_lead(self.triple, gaussian_text))
 
     def __str__(self) -> str:
-        return f"({self.a})x + ({self.b})y + ({self.c}) = 0"
+        return "({})x + ({})y + ({}) = 0".format(*_over_lead(self.triple, gaussian_text))
 
 
 @dataclass(frozen=True)
@@ -258,8 +237,7 @@ def parse_arrangement(document: str | bytes | dict) -> WeightedArrangement:
         missing = {"a", "b", "c"} - set(entry)
         if missing:
             raise ParseError(f"line {i} is missing keys: {sorted(missing)}")
-        parts = [part for key in "abc" for part in parse_coefficient(entry[key])]
-        lines.append(Line(canonical_triple(parts)))
+        lines.append(Line.canonical(entry["a"], entry["b"], entry["c"]))
         e = entry.get("e", 1)
         if type(e) is not int or e < 1:
             raise BadWeight(f"line {i}: weight must be a positive integer, got {e!r}")
@@ -284,35 +262,26 @@ class Vertex:
 
     `key` is the point's primitive integer key (x_re, x_im, y_re, y_im, n)
     of the module docstring, the point being ((x_re + x_im i)/n,
-    (y_re + y_im i)/n).  `point` is derived from it when first read.
+    (y_re + y_im i)/n).
     """
 
     key: tuple[int, int, int, int, int]
     incident: frozenset[int]
     multiplicity: int
 
-    @cached_property
-    def point(self) -> tuple[GaussianRational, GaussianRational]:
-        x_re, x_im, y_re, y_im, n = self.key
-        return (_coordinate(x_re, x_im, n), _coordinate(y_re, y_im, n))
-
 
 @dataclass(frozen=True)
 class DirectionClass:
     """A maximal parallel class; combinatorial stand-in for a point at infinity.
 
-    `key` is its lines' direction key (Re A, Im A, Re B, Im B);
-    `direction`, their canonical (a, b), is derived from it when first read.
+    `key` is its lines' direction key (Re A, Im A, Re B, Im B); their
+    canonical (a, b) is the key over its real lead (Re A, or Re B when
+    A = 0).
     """
 
     key: tuple[int, int, int, int]
     members: frozenset[int]
     count: int
-
-    @cached_property
-    def direction(self) -> tuple[GaussianRational, GaussianRational]:
-        a_re, a_im, b_re, b_im = self.key
-        return (_coordinate(a_re, a_im, a_re or b_re), _coordinate(b_re, b_im, a_re or b_re))
 
 
 @dataclass(frozen=True)
@@ -371,15 +340,13 @@ class CombinatorialSummary:
         return [sum(map(weights.__getitem__, g.members)) for g in self.directions]
 
     def to_json(self) -> dict:
-        # Grid-like arrangements repeat coordinates: build each value once per call.
-        coordinate = cache(_coordinate)
         return {
             "d": self.d,
             "dE": sum(self.weights),
             "directions": [
                 {
                     "count": g.count,
-                    "direction": [c.to_json() for c in g.direction],
+                    "direction": _over_lead(g.key, gaussian_json),
                     "members": sorted(g.members),
                     "weightSum": d_j,
                 }
@@ -392,10 +359,7 @@ class CombinatorialSummary:
                 {
                     "incident": sorted(incident),
                     "multiplicity": m,
-                    "point": [
-                        coordinate(x_re, x_im, n).to_json(),
-                        coordinate(y_re, y_im, n).to_json(),
-                    ],
+                    "point": [gaussian_json(x_re, x_im, n), gaussian_json(y_re, y_im, n)],
                     "weightSum": d_v,
                 }
                 for (x_re, x_im, y_re, y_im, n), incident, m, d_v in zip(

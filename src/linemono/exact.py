@@ -1,23 +1,25 @@
 """Exact scalars: rational literals, Gaussian rationals, roots of unity.
 
 A rational literal parses to integers (numerator, denominator), and the
-parser builds lines from those.  A Gaussian rational re + im*i, a pair of
-Fractions, is a value and display type only: what a coefficient or a
-coordinate reads as and is written out as.  Roots of unity are stored as
-reduced fractions k/order of a full turn, never as floating point, so
-divisibility questions about them are integer tests.
+parser builds lines from those.  Every exact number the package writes
+out, a coefficient or a coordinate (re + im i)/n, is kept as integers
+and written straight from them: `rational_text` writes p/n in lowest
+terms as `str(Fraction(p, n))` would, and `gaussian_text` and
+`gaussian_json` write (re, im, n) as text and in COEF wire form.  Roots
+of unity are stored as reduced fractions k/order of a full turn, never
+as floating point, so divisibility questions about them are integer
+tests.
 """
 
 from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError
 
-_RATIONAL_RE = _re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = _re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(value) -> tuple[int, int]:
@@ -29,10 +31,9 @@ def parse_rational(value) -> tuple[int, int]:
     if type(value) is int:
         return value, 1
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        if not _RATIONAL_RE.fullmatch(value):
             raise ParseError(f"not an exact rational literal: {value!r}")
-        num, _, den = text.partition("/")
+        num, _, den = value.partition("/")
         try:
             num, den = int(num), int(den or 1)
         except ValueError as exc:  # only digits get here: over the digit limit
@@ -53,33 +54,28 @@ def parse_coefficient(value) -> tuple[tuple[int, int], tuple[int, int]]:
     return parse_rational(value), (0, 1)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """An element of Q(i) with exact Fraction components."""
+def rational_text(p: int, n: int) -> str:
+    """p/n in lowest terms, written as `str(Fraction(p, n))` writes it; n > 0."""
+    g = gcd(p, n)
+    p, n = p // g, n // g
+    return str(p) if n == 1 else f"{p}/{n}"
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
 
-    @classmethod
-    def of(cls, re, im=0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
+def gaussian_text(re: int, im: int, n: int) -> str:
+    """(re + im i)/n as text: "1/2", "-1/2i" or "1/2+1/3i"; n > 0."""
+    if im == 0:
+        return rational_text(re, n)
+    if re == 0:
+        return f"{rational_text(im, n)}i"
+    sign = "+" if im > 0 else "-"
+    return f"{rational_text(re, n)}{sign}{rational_text(abs(im), n)}i"
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.re, self.im)
 
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-    def to_json(self):
-        """COEF wire form: a rational string, or {"re":..., "im":...}."""
-        if self.im == 0:
-            return str(self.re)
-        return {"im": str(self.im), "re": str(self.re)}
+def gaussian_json(re: int, im: int, n: int):
+    """(re + im i)/n in COEF wire form: "p/q", or {"im": ..., "re": ...}; n > 0."""
+    if im == 0:
+        return rational_text(re, n)
+    return {"im": rational_text(im, n), "re": rational_text(re, n)}
 
 
 @dataclass(frozen=True)

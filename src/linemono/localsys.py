@@ -92,16 +92,22 @@ class LocalSystem:
         return gcd(*self.residues)
 
 
+def _exact_fraction(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError(f"floating-point value {value!r}")
+    return Fraction(value)
+
+
 def canonical_local_system(monodromies) -> LocalSystem:
     """Build the local system from monodromy fractions k_j/N_j in [0, 1).
 
     The order is the lcm of the denominators and each residue is the
     fraction scaled to it; minimality gcd(residues, order) = 1 then holds
     automatically.  A fraction 0 means that line's monodromy is 1, which
-    is rejected (`TrivialMonodromy`).
+    is rejected (`TrivialMonodromy`); a float is not exact (`BadMonodromy`).
     """
     try:
-        fractions = [Fraction(m) for m in monodromies]
+        fractions = [_exact_fraction(m) for m in monodromies]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise BadMonodromy(f"monodromy is not an exact fraction: {exc}") from exc
     if not fractions:

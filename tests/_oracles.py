@@ -4,7 +4,10 @@ Nothing here imports the package under test.  Polynomials are ascending
 Fraction coefficient lists; cyclotomic polynomials come from the Moebius
 product (the package expands (t^m - 1) factors and never builds them);
 arrangement combinatorics is redone from scratch over pairs of Fractions.
-The per-order vertex and class sums read a summary and a local system by
+Integer vertex keys, line triples and direction keys are read back as
+Fraction pairs, and written as text and COEF values by the rules over
+Fractions that the package's integer formatter must match.  The
+per-order vertex and class sums read a summary and a local system by
 their attributes alone, one order at a time.
 """
 
@@ -175,6 +178,37 @@ def as_complex(value):
     if isinstance(value, tuple):
         return (Fraction(value[0]), Fraction(value[1]))
     return (Fraction(value), Fraction(0))
+
+
+# Integer keys read as exact values, and the old Fraction-based writing rules.
+
+def key_point(key):
+    """A vertex key (x_re, x_im, y_re, y_im, n) as its point, two (re, im) Fraction pairs."""
+    x_re, x_im, y_re, y_im, n = key
+    return ((Fraction(x_re, n), Fraction(x_im, n)), (Fraction(y_re, n), Fraction(y_im, n)))
+
+
+def key_coefficients(key):
+    """A line triple or direction key over its real lead: the canonical (re, im) pairs."""
+    n = key[0] or key[2]
+    return tuple((Fraction(key[k], n), Fraction(key[k + 1], n)) for k in range(0, len(key), 2))
+
+
+def gaussian_text(re, im):
+    """re + im i written as text, re and im Fractions."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    return f"{re}{sign}{abs(im)}i"
+
+
+def gaussian_coef(re, im):
+    """re + im i in COEF wire form, re and im Fractions."""
+    if im == 0:
+        return str(re)
+    return {"im": str(im), "re": str(re)}
 
 
 def brute_combinatorics(lines, weights=None):

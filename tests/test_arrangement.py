@@ -11,7 +11,6 @@ from linemono import (
     BadGcd,
     BadWeight,
     DuplicateLine,
-    GaussianRational,
     Line,
     NotEssential,
     ParseError,
@@ -22,7 +21,9 @@ from linemono import (
 from linemono.arrangement import LINE_LIMIT
 from linemono.errors import TooManyLines
 
-from _oracles import as_complex, brute_combinatorics, cadd, cmul
+from _oracles import (
+    as_complex, brute_combinatorics, cadd, cmul, gaussian_coef, key_coefficients, key_point,
+)
 from conftest import EIGHT_NORMAL_CROSSING
 
 
@@ -31,6 +32,13 @@ NON_ASCII_DIGITS = [
     '{"lines": [{"a": "\u0661", "b": 0, "c": 0}, {"a": 0, "b": "\uff11/\uff12", "c": "\u0663"}]}',
     '{"lines": [{"a": 1, "b": 0, "c": "1/\u0663"}, {"a": 0, "b": 1, "c": 0}]}',
     '{"lines": [{"a": 1, "b": 0, "c": {"im": "\uff12"}}, {"a": 0, "b": 1, "c": 0}]}',
+]
+
+# Surrounding whitespace, Unicode or ASCII, is not part of the literal grammar.
+WHITESPACE_LITERALS = [" 2 ", "\t1/2", "\u30001", "1\n", "1/2\n", "\n-1"]
+WHITESPACE_DOCUMENTS = [
+    json.dumps({"lines": [{"a": 1, "b": 0, "c": literal}, {"a": 0, "b": 1, "c": 0}]})
+    for literal in WHITESPACE_LITERALS
 ]
 
 
@@ -54,10 +62,11 @@ class TestParsing:
             )
         )
         # canonical: first nonzero coefficient scaled to 1
-        assert arr.lines[0].a == GaussianRational.of(1)
-        assert arr.lines[0].b == GaussianRational.of(Fraction(1, 3))
-        assert arr.lines[0].c == GaussianRational.of(Fraction(-1, 4))
-        assert arr.lines[1].b == GaussianRational.of(1)
+        a, b, c = key_coefficients(arr.lines[0].triple)
+        assert a == (1, 0)
+        assert b == (Fraction(1, 3), 0)
+        assert c == (Fraction(-1, 4), 0)
+        assert key_coefficients(arr.lines[1].triple)[1] == (1, 0)
 
     def test_duplicate_after_canonicalization(self):
         with pytest.raises(DuplicateLine):
@@ -123,11 +132,20 @@ class TestParsing:
             '{"lines": 3}',
             '{"lines": [{"a": 1, "b": 0, "c": 0}], "extra": 1}',
             *NON_ASCII_DIGITS,
+            *WHITESPACE_DOCUMENTS,
         ],
     )
     def test_parse_errors(self, document):
         with pytest.raises(ParseError):
             parse_arrangement(document)
+
+    @pytest.mark.parametrize("literal", WHITESPACE_LITERALS)
+    def test_whitespace_is_not_a_literal(self, literal):
+        for coefficient in (literal, {"re": literal}, {"re": 0, "im": literal}):
+            document = {"lines": [{"a": 1, "b": 0, "c": coefficient}, {"a": 0, "b": 1, "c": 0}]}
+            with pytest.raises(ParseError) as info:
+                parse_arrangement(document)
+            assert str(info.value) == f"not an exact rational literal: {literal!r}"
 
     @pytest.mark.parametrize(
         "document",
@@ -145,8 +163,7 @@ class TestParsing:
     def test_line_limit_boundary(self):
         """LINE_LIMIT lines build; one more is refused before any line is checked or paired."""
         assert LINE_LIMIT == 500
-        ga = GaussianRational.of
-        pencil = [Line.canonical(ga(1), ga(k), ga(0)) for k in range(LINE_LIMIT + 1)]
+        pencil = [Line.canonical(1, k, 0) for k in range(LINE_LIMIT + 1)]
         assert WeightedArrangement.build(pencil[:-1], [1] * LINE_LIMIT).d == LINE_LIMIT
         with pytest.raises(TooManyLines, match="501 lines > LINE_LIMIT = 500"):
             WeightedArrangement.build(pencil, [1] * (LINE_LIMIT + 1))
@@ -189,7 +206,7 @@ class TestCombinatorics:
         assert cs.d == 2 and cs.p == 2
         assert cs.histogram == {2: 1}
         assert cs.line_vertex_counts == (1, 1)
-        assert cs.vertices[0].point == (GaussianRational.of(0), GaussianRational.of(0))
+        assert key_point(cs.vertices[0].key) == ((0, 0), (0, 0))
 
     def test_eight_line_fixture_against_brute_force(self, eight_normal_crossing):
         cs = compute_combinatorics(eight_normal_crossing)
@@ -248,7 +265,7 @@ class TestCombinatorics:
 
     def test_vertices_sorted_lexicographically(self, triangle):
         cs = compute_combinatorics(triangle)
-        keys = [(*v.point[0].sort_key(), *v.point[1].sort_key()) for v in cs.vertices]
+        keys = [(*x, *y) for x, y in (key_point(v.key) for v in cs.vertices)]
         assert keys == sorted(keys)
 
 
@@ -305,7 +322,7 @@ class TestInvarianceProperties:
         permuted = compute_combinatorics(build_arrangement(shuffled))
         assert original.histogram == permuted.histogram
         assert sorted(original.line_vertex_counts) == sorted(permuted.line_vertex_counts)
-        assert [v.point for v in original.vertices] == [v.point for v in permuted.vertices]
+        assert [v.key for v in original.vertices] == [v.key for v in permuted.vertices]
         assert sorted(g.count for g in original.directions) == sorted(
             g.count for g in permuted.directions
         )
@@ -325,13 +342,13 @@ class TestInvarianceProperties:
         al, be, ga, de, s_, u_ = map(as_complex, affine)
         mapped_lines = []
         for line, e in zip(base.lines, base.weights):
-            a, b, c = ((z.re, z.im) for z in (line.a, line.b, line.c))
+            a, b, c = key_coefficients(line.triple)
             coefficients = (
                 cadd(cmul(a, al), cmul(b, ga)),
                 cadd(cmul(a, be), cmul(b, de)),
                 cadd(cadd(cmul(a, s_), cmul(b, u_)), c),
             )
-            mapped_lines.append(Line.canonical(*(GaussianRational(*z) for z in coefficients)))
+            mapped_lines.append(Line.canonical(*(gaussian_coef(*z) for z in coefficients)))
         from linemono import WeightedArrangement
 
         mapped = WeightedArrangement.build(mapped_lines, list(base.weights))

@@ -4,7 +4,6 @@ import pytest
 
 from linemono import (
     DIRECTIONS,
-    GaussianRational,
     Line,
     ParseError,
     RunConfig,
@@ -16,6 +15,8 @@ from linemono import (
     summarize,
 )
 from linemono.census import SplitMix64
+
+from _oracles import key_coefficients
 
 
 class TestSplitMix64:
@@ -61,12 +62,13 @@ class TestGenerator:
         for arr in (draw_arrangement(rng, 8) for _ in range(30)):
             assert 3 <= arr.d <= 8
             assert arr.weights == (1,) * arr.d
-            assert len({line.direction for line in arr.lines}) >= 2
+            assert len({line.direction_key for line in arr.lines}) >= 2
             # every drawn line is real with direction from the fixed list
             for line in arr.lines:
-                assert line.a.im == 0 == line.b.im
+                (a_re, a_im), (b_re, b_im), _ = key_coefficients(line.triple)
+                assert a_im == 0 == b_im
                 assert any(
-                    line.a.re * b == line.b.re * a for a, b in DIRECTIONS
+                    a_re * b == b_re * a for a, b in DIRECTIONS
                 )
 
     @pytest.mark.parametrize("seed, max_lines", [(11, 8), (12, 3), (13, 12)])
@@ -78,7 +80,6 @@ class TestGenerator:
         repeated line or a single parallel class.
         """
         rng, replay = SplitMix64(seed), SplitMix64(seed)
-        ga = GaussianRational.of
         for _ in range(60):
             drawn = draw_arrangement(rng, max_lines)
             while True:
@@ -86,8 +87,8 @@ class TestGenerator:
                 lines = []
                 for _ in range(count):
                     a, b = DIRECTIONS[replay.below(len(DIRECTIONS))]
-                    lines.append(Line.canonical(ga(a), ga(b), ga(-20 + replay.below(41))))
-                if len(set(lines)) == count and len({line.direction for line in lines}) > 1:
+                    lines.append(Line.canonical(a, b, -20 + replay.below(41)))
+                if len(set(lines)) == count and len({line.direction_key for line in lines}) > 1:
                     break
             assert drawn.lines == tuple(lines)
             assert rng.state == replay.state

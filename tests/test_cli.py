@@ -7,12 +7,13 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from linemono import GaussianRational, Vertex, compute_combinatorics, parse_arrangement
+from linemono import Vertex, compute_combinatorics, parse_arrangement
 from linemono.cli import EXIT_CLOSED_STDOUT, build_parser, main
 
 from conftest import EIGHT_NORMAL_CROSSING, TRIANGLE, TWO_AXES, WEIGHTED_TRIANGLE
@@ -627,45 +628,51 @@ class TestNoVertexObjects:
 
 
 @pytest.fixture
-def gaussian_rationals():
-    """Record every `GaussianRational` constructed while the fixture is active."""
+def fractions_built():
+    """Record every `fractions.Fraction` constructed while the fixture is active."""
     built = []
-    original = GaussianRational.__init__
+    original = Fraction.__new__
 
-    def counting_init(self, *args, **kwargs):
+    def counting_new(cls, *args, **kwargs):
         built.append(args)
-        original(self, *args, **kwargs)
+        return original(cls, *args, **kwargs)
 
-    with mock.patch.object(GaussianRational, "__init__", counting_init):
+    with mock.patch.object(Fraction, "__new__", counting_new):
         yield built
 
 
-class TestNoGaussianRationals:
-    """Lines and vertices are integer keys; a Gaussian rational is built only to be written out."""
+class TestNoFractions:
+    """Lines, vertices and classes are integer keys, and every number is written from integers."""
 
-    def test_parse_and_combinatorics_build_none(self, gaussian_rationals):
+    def test_parse_and_combinatorics_build_none(self, fractions_built):
         cs = compute_combinatorics(parse_arrangement(GRID))
-        assert gaussian_rationals == []
-        assert cs.directions[0].direction
-        assert len(gaussian_rationals) == 2  # the patch does count
+        assert cs.to_json()["directions"][0]["direction"]
+        assert fractions_built == []
+        assert Fraction(1, 2)
+        assert fractions_built == [(1, 2)]  # the patch does count
 
-    def test_commands_that_write_no_coefficient_build_none(
-        self, capsys, tmp_path, gaussian_rationals
-    ):
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(GRID))
+    @pytest.mark.parametrize("document", ["complex_pencil.json", "GRID"])
+    def test_no_command_builds_one(self, capsys, tmp_path, fractions_built, document):
+        path = FIXTURES / document
+        if document == "GRID":
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps(GRID))
+        counts = {}
         for command in (
+            ["info"],
             ["verify"],
             ["charpoly", "--at", "zero"],
-            ["charpoly", "--at", "infinity"],
+            ["charpoly", "--at", "infinity", "--expand"],
             ["zeta"],
             ["bound", "--order", "6"],
         ):
             assert main([command[0], str(path), *command[1:]]) == 0, command
-        assert gaussian_rationals == []
-        assert main(["info", str(path)]) == 0  # writes coefficients out, so it builds them
-        assert gaussian_rationals
+            counts[" ".join(command)] = len(fractions_built)
+            fractions_built.clear()
+        assert main(["census", "--seed", "1", "--count", "5"]) == 0
+        counts["census"] = len(fractions_built)
         capsys.readouterr()
+        assert counts == dict.fromkeys(counts, 0)
 
 
 class TestOneSpectrumPerDraw:

@@ -7,9 +7,9 @@ lines whose coefficients are Gaussian rationals with denominators up to
 and forced concurrent pencils, and with sympy on random small inputs.
 The weight sums over vertices and classes, and both characteristic
 polynomials, are also checked over a residue-like weight vector.
-A vertex keeps its integer key; its point, derived on demand, is checked
-against the Fraction construction from that key, and the grouping itself
-is checked to build no coordinates.
+A vertex keeps its integer key; the point `to_json` writes from it is
+checked against the Fraction construction from that key, and the
+grouping itself is checked to build no rational.
 """
 
 import random
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from linemono import (
     FactoredUnityPoly,
-    GaussianRational,
     Line,
     WeightedArrangement,
     charpoly_infinity,
@@ -32,7 +31,9 @@ from linemono import (
     compute_combinatorics,
 )
 
-from _oracles import brute_combinatorics, cadd, cmul
+from _oracles import (
+    brute_combinatorics, cadd, cmul, gaussian_coef, key_coefficients, key_point,
+)
 
 MAX_DENOMINATOR = 10**6
 ZERO = (Fraction(0), Fraction(0))
@@ -68,7 +69,7 @@ def gaussian_arrangements(draw):
 
 
 def _gaussian(pair):
-    return GaussianRational(Fraction(pair[0]), Fraction(pair[1]))
+    return gaussian_coef(Fraction(pair[0]), Fraction(pair[1]))
 
 
 def _build(raw, weights=None):
@@ -79,24 +80,20 @@ def _build(raw, weights=None):
         if line not in lines:
             kept.append((a, b, c))
             lines.append(line)
-    if len({line.direction for line in lines}) < 2:
+    if len({line.direction_key for line in lines}) < 2:
         return None
     weights = [1, *(weights or [])][: len(lines)]  # a leading 1 keeps the gcd 1
     weights += [1] * (len(lines) - len(weights))
     return kept, WeightedArrangement.build(lines, weights)
 
 
-def _pair(g):
-    return (g.re, g.im)
-
-
 def _point(v):
-    return (_pair(v.point[0]), _pair(v.point[1]))
+    return key_point(v.key)
 
 
 def _sort_key(v):
-    x, y = v.point
-    return (x.re, x.im, y.re, y.im)
+    x, y = key_point(v.key)
+    return (*x, *y)
 
 
 def _assert_sums_match_oracle(cs, oracle, weights):
@@ -105,7 +102,7 @@ def _assert_sums_match_oracle(cs, oracle, weights):
     assert cs.vertex_sums(weights) == [by_point[_point(v)] for v in cs.vertices]
     by_direction = oracle["class_weights"]
     assert cs.class_sums(weights) == [
-        by_direction[(_pair(g.direction[0]), _pair(g.direction[1]))] for g in cs.directions
+        by_direction[key_coefficients(g.key)] for g in cs.directions
     ]
     d_e = oracle["d_e"]
     zero = [(1, 1)]
@@ -120,16 +117,11 @@ def _assert_sums_match_oracle(cs, oracle, weights):
     assert charpoly_infinity(cs, weights) == FactoredUnityPoly(infinity)
 
 
-def _assert_point_from_key(v):
-    """`v.point` equals, in value and type, the point built from the key with Fractions."""
-    x_re, x_im, y_re, y_im, n = v.key
-    expected = (
-        GaussianRational(Fraction(x_re, n), Fraction(x_im, n)),
-        GaussianRational(Fraction(y_re, n), Fraction(y_im, n)),
-    )
-    assert v.point == expected
-    assert all(type(c) is GaussianRational for c in v.point)
-    assert all(type(q) is Fraction for c in v.point for q in (c.re, c.im))
+def _assert_points_from_keys(cs):
+    """`to_json` writes each point as the Fraction rules write the point built from its key."""
+    assert [row["point"] for row in cs.to_json()["vertices"]] == [
+        [gaussian_coef(*z) for z in key_point(key)] for key in cs.keys
+    ]
 
 
 # Residue-like weight vectors: positive, possibly all sharing a factor, no gcd condition.
@@ -154,21 +146,19 @@ class TestAgainstOracle:
 
         assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
         assert all(v.multiplicity == len(v.incident) for v in cs.vertices)
-        for v in cs.vertices:
-            _assert_point_from_key(v)
+        _assert_points_from_keys(cs)
         assert cs.histogram == oracle["histogram"]
         assert list(cs.line_vertex_counts) == oracle["line_vertex_counts"]
         assert cs.p == oracle["p"]
         assert {
-            (_pair(g.direction[0]), _pair(g.direction[1])): sorted(g.members)
-            for g in cs.directions
+            key_coefficients(g.key): sorted(g.members) for g in cs.directions
         } == oracle["class_members"]
         info = cs.to_json()
         assert {
             _point(v): row["weightSum"] for v, row in zip(cs.vertices, info["vertices"])
         } == oracle["vertex_weight_sums"]
         assert [row["point"] for row in info["vertices"]] == [
-            [c.to_json() for c in v.point] for v in cs.vertices
+            [gaussian_coef(*z) for z in _point(v)] for v in cs.vertices
         ]
         assert info["dE"] == oracle["d_e"]
 
@@ -188,8 +178,10 @@ class TestAgainstOracle:
             x, y = _point(v)
             through = [
                 i
-                for i, line in enumerate(arr.lines)
-                if cadd(cadd(cmul(_pair(line.a), x), cmul(_pair(line.b), y)), _pair(line.c)) == ZERO
+                for i, (line_a, line_b, line_c) in enumerate(
+                    key_coefficients(line.triple) for line in arr.lines
+                )
+                if cadd(cadd(cmul(line_a, x), cmul(line_b, y)), line_c) == ZERO
             ]
             assert through == sorted(v.incident)
 
@@ -197,23 +189,21 @@ class TestAgainstOracle:
 class TestGenericLargeDenominators:
     def test_farey_neighbour_directions_sort_apart(self):
         """Directions b = 1/1001 and b = 1/1000 sort apart, though the only vertex is the origin."""
-        ga = GaussianRational.of
         equations = [(1000, 1, 0), (1001, 1, 0), (1, 0, 0)]
-        lines = [Line.canonical(ga(a), ga(b), ga(c)) for a, b, c in equations]
+        lines = [Line.canonical(a, b, c) for a, b, c in equations]
         cs = compute_combinatorics(WeightedArrangement.build(lines, [1] * 3))
         assert cs.keys == ((0, 0, 0, 0, 1),)
-        assert [g.direction[1].re for g in cs.directions] == [
+        assert [key_coefficients(g.key)[1][0] for g in cs.directions] == [
             0, Fraction(1, 1001), Fraction(1, 1000)
         ]
 
     def test_farey_neighbours_sort_apart(self):
         """x = 1/1001 and x = 1/1000 differ by 1/(1000 * 1001): still ordered by x first."""
-        ga = GaussianRational.of
         equations = [(1001, 0, -1), (1000, 0, -1), (0, 1, 0), (0, 1, -1)]
-        lines = [Line.canonical(ga(a), ga(b), ga(c)) for a, b, c in equations]
+        lines = [Line.canonical(a, b, c) for a, b, c in equations]
         cs = compute_combinatorics(WeightedArrangement.build(lines, [1] * 4))
         left, right = Fraction(1, 1001), Fraction(1, 1000)
-        assert [(v.point[0].re, v.point[1].re) for v in cs.vertices] == [
+        assert [(_point(v)[0][0], _point(v)[1][0]) for v in cs.vertices] == [
             (left, 0), (left, 1), (right, 0), (right, 1)
         ]
 
@@ -228,8 +218,7 @@ class TestGenericLargeDenominators:
         cs = compute_combinatorics(arr)
         oracle = brute_combinatorics(kept)
         assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
-        for v in cs.vertices:
-            _assert_point_from_key(v)
+        _assert_points_from_keys(cs)
         keys = [_sort_key(v) for v in cs.vertices]
         assert keys == sorted(keys)
 
@@ -315,32 +304,31 @@ class TestWeightSums:
 
 class TestPointOnDemand:
     def test_grouping_builds_no_gaussian_rational(self):
-        """The summary holds integer keys only; a point is built when it is read.
+        """The summary holds integer keys only; no `Fraction` is built, not even to write it out.
 
         The input is a 40-line 4-direction grid; every fourth offset is a
         Gaussian rational.
         """
-        ga = GaussianRational.of
-        offsets = [ga(k) if k % 4 else GaussianRational(Fraction(k, 3), Fraction(1, 7))
-                   for k in range(10)]
+        offsets = [k if k % 4 else {"re": f"{k}/3", "im": "1/7"} for k in range(10)]
         lines = [
-            Line.canonical(ga(a), ga(b), c)
+            Line.canonical(a, b, c)
             for a, b in ((1, 0), (0, 1), (1, 1), (1, -1))
             for c in offsets
         ]
         arr = WeightedArrangement.build(lines, [1] * len(lines))
         built = []
-        original = GaussianRational.__init__
+        original = Fraction.__new__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            original(self, *args, **kwargs)
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
 
-        with mock.patch.object(GaussianRational, "__init__", counting_init):
+        with mock.patch.object(Fraction, "__new__", counting_new):
             cs = compute_combinatorics(arr)
+            assert cs.to_json()["vertices"][-1]["point"]
             assert built == []
-            assert cs.vertices[-1].point
-            assert len(built) == 2  # the patch does count
+            assert key_point(cs.vertices[-1].key)
+            assert len(built) == 4  # the patch does count
         assert len(cs.vertices) > 300
         assert max(cs.histogram) >= 3
 
@@ -359,8 +347,7 @@ class TestPointOnDemand:
             a, b, c = (rng.randint(-999, 999) for _ in range(3))
             if a and b:
                 triples.add((a, b, c))
-        ga = GaussianRational.of
-        lines = [Line.canonical(ga(a), ga(b), ga(c)) for a, b, c in sorted(triples)]
+        lines = [Line.canonical(a, b, c) for a, b, c in sorted(triples)]
         arr = WeightedArrangement.build(lines, [1] * len(lines))
         tracemalloc.start()
         try:
@@ -418,7 +405,6 @@ class TestAgainstSympy:
 
         cs = compute_combinatorics(arr)
         assert {_point(v): set(v.incident) for v in cs.vertices} == expected
-        for v in cs.vertices:
-            _assert_point_from_key(v)
+        _assert_points_from_keys(cs)
         assert [_point(v) for v in cs.vertices] == sorted(expected, key=lambda p: (*p[0], *p[1]))
         assert any(v.multiplicity >= 3 for v in cs.vertices)

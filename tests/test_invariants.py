@@ -17,6 +17,7 @@ from linemono import (
     mu_arrangement,
 )
 
+from _oracles import key_coefficients
 from test_arrangement import arrangement_specs, build_arrangement
 
 
@@ -109,7 +110,7 @@ class TestInfinityMu:
     def test_weighted_triangle_weight_two_direction(self, weighted_triangle):
         cs = compute_combinatorics(weighted_triangle)
         values = {
-            cs.directions[j].direction: infinity_singularity_mu(cs, j)
+            key_coefficients(cs.directions[j].key): infinity_singularity_mu(cs, j)
             for j in range(cs.p)
         }
         by_weight = {

@@ -92,7 +92,10 @@ class TestTypedErrors:
         assert isinstance(info.value, ValueError)
         assert info.value.code == "BadResidues"
 
-    @pytest.mark.parametrize("monodromies", [[], ["3/2"], [Fraction(-1, 3)], [1], ["x"], ["1/0"]])
+    @pytest.mark.parametrize(
+        "monodromies",
+        [[], ["3/2"], [Fraction(-1, 3)], [1], ["x"], ["1/0"], [0.5], [0.1, 0.5]],
+    )
     def test_bad_monodromy(self, monodromies):
         with pytest.raises(BadMonodromy) as info:
             canonical_local_system(monodromies)
