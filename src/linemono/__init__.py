@@ -47,7 +47,6 @@ from .errors import (
     TrivialMonodromy,
     WeightedNotSupported,
 )
-from .exact import RootOfUnity
 from .factored import (
     EXPAND_LIMIT,
     INDEX_LIMIT,
@@ -113,7 +112,6 @@ __all__ = [
     "NotEssential",
     "NotPolynomial",
     "ParseError",
-    "RootOfUnity",
     "RunConfig",
     "TrivialMonodromy",
     "Vertex",

@@ -68,9 +68,8 @@ from .errors import (
 )
 from .exact import gaussian_json, gaussian_text, parse_coefficient
 
-# The d(d-1)/2 pairs of lines cost time and memory alike.  On 500 generic
-# lines `verify` takes about 1-2 s and 100 MB, `info` about 4-6 s and
-# 300 MB (shared 2-vCPU x86-64 host, Python 3.11).
+# The d(d-1)/2 pairs of lines cost time and memory alike; README.md gives
+# the cost at the limit.
 LINE_LIMIT = 500
 
 

@@ -159,7 +159,7 @@ def run_census(config: RunConfig) -> Iterator[CensusRow]:
                 d=cs.d,
                 p=cs.p,
                 histogram=cs.histogram,
-                order=report.a.order,
+                order=report.order,
                 n0=report.n0,
                 n_infinity=report.n_infinity,
                 bound=report.bound,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .arrangement import CombinatorialSummary
 from .errors import InputError, InternalCheckError
-from .exact import RootOfUnity
 from .factored import FactoredUnityPoly
 from .invariants import (
     betti1_general_fiber,
@@ -96,7 +95,7 @@ def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
                 lambda: f"zero {d_zero}, infinity {d_inf}",
             )
         )
-        mult_one = d_inf.root_multiplicity(RootOfUnity(0, 1))
+        mult_one = d_inf.root_multiplicity(1)
         results.append(
             _check(
                 "root-one-multiplicity",

@@ -1,20 +1,16 @@
-"""Exact scalars: rational literals, Gaussian rationals, roots of unity.
+"""Exact scalars: rational literals and Gaussian rationals.
 
 A rational literal parses to integers (numerator, denominator), and the
 parser builds lines from those.  Every exact number the package writes
 out, a coefficient or a coordinate (re + im i)/n, is kept as integers
 and written straight from them: `rational_text` writes p/n in lowest
 terms as `str(Fraction(p, n))` would, and `gaussian_text` and
-`gaussian_json` write (re, im, n) as text and in COEF wire form.  Roots
-of unity are stored as reduced fractions k/order of a full turn, never
-as floating point, so divisibility questions about them are integer
-tests.
+`gaussian_json` write (re, im, n) as text and in COEF wire form.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import ParseError
@@ -77,25 +73,3 @@ def gaussian_json(re: int, im: int, n: int):
         return rational_text(re, n)
     return {"im": rational_text(im, n), "re": rational_text(re, n)}
 
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """exp(2*pi*i * k/order), stored with k/order in lowest terms.
-
-    Invariants after construction: 0 <= k < order, gcd(k, order) = 1 for
-    order > 1, and k = 0 forces order = 1.
-    """
-
-    k: int
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        k = self.k % self.order
-        g = gcd(k, self.order)
-        object.__setattr__(self, "k", k // g)
-        object.__setattr__(self, "order", self.order // g)
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "order": self.order}

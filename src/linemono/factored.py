@@ -23,8 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from operator import sub
 
-from .errors import ExpandTooLarge, IndexTooLarge, NegativeExponent, NotPolynomial
-from .exact import RootOfUnity
+from .errors import BadOrder, ExpandTooLarge, IndexTooLarge, NegativeExponent, NotPolynomial
 
 EXPAND_LIMIT = 10**7
 """Largest D+ * S+ that FactoredUnityPoly.expand accepts (see the module doc)."""
@@ -46,6 +45,12 @@ def divisors(n: int) -> list[int]:
                 large.append(n // i)
         i += 1
     return small + large[::-1]
+
+
+def require_order(order: int) -> None:
+    """BadOrder unless `order` is an int >= 1, the order of a root of unity."""
+    if type(order) is not int or order < 1:
+        raise BadOrder(f"order must be a positive integer, got {order!r}")
 
 
 def _divide_exact(p: list[int], m: int) -> list[int] | None:
@@ -143,15 +148,15 @@ class FactoredUnityPoly(_ExponentMap):
                 eps[n] = eps.get(n, 0) + c
         return CyclotomicExponents(eps)
 
-    def root_multiplicity(self, root: RootOfUnity) -> int:
-        """Multiplicity of the given root of unity, as a divisor sum.
+    def root_multiplicity(self, order: int) -> int:
+        """Multiplicity of a primitive order-th root of unity, as a divisor sum.
 
         Equals the actual root multiplicity whenever all exponents are
         nonnegative; for rational functions it is the order of vanishing
         (negative at poles).
         """
-        n = root.order
-        return sum(c for m, c in self._items if m % n == 0)
+        require_order(order)
+        return sum(c for m, c in self._items if m % order == 0)
 
     def expand(self) -> list[int]:
         """Dense ascending integer coefficients of the expanded product.
@@ -208,9 +213,10 @@ class CyclotomicExponents(_ExponentMap):
     def exponents(self) -> dict[int, int]:
         return dict(self._items)
 
-    def multiplicity(self, root: RootOfUnity) -> int:
-        """Exponent of the cyclotomic factor whose roots include `root`."""
-        return dict(self._items).get(root.order, 0)
+    def multiplicity(self, order: int) -> int:
+        """Exponent of Phi_order, whose roots are the primitive order-th roots of unity."""
+        require_order(order)
+        return dict(self._items).get(order, 0)
 
     def __str__(self) -> str:
         if not self._items:

@@ -2,36 +2,40 @@
 
 A local system on the complement assigns to the j-th line a monodromy
 exp(2*pi*i * e_j / N); it is stored as the order N with the residue vector
-e, reduced so that gcd(e_1, ..., e_d, N) = 1 (minimal order).  The bound
+e, reduced so that gcd(e_1, ..., e_d, N) = 1 (minimal order).
+`canonical_local_system` builds it from monodromy fractions e_j/N_j read
+as in the arrangement file ("p" or "p/q") or from ints and Rationals,
+never from floats.  The bound
 on dim H^1 with these coefficients is min(N0, NInfinity), the multiplicities
 of a = exp(2*pi*i/N) in the characteristic polynomials about zero and at
-infinity built with weights e.  The polynomial multiplicities are the
-ground truth; the combinatorial vertex sums are computed alongside and
-cross-checked, except at infinity when N divides the total weight, where
-the vertex sum does not capture the (t^{d_e} - 1)^{p-2} contribution and
-is reported as unavailable instead.  `bound_spectrum` serves many orders
-with the same residues from one pair of polynomials and one pass over the
-vertices and classes (the census uses it once per draw); a single bound
-is its one-order case.
+infinity built with weights e; a is a root of Phi_N, so the integer N
+names it.  The polynomial multiplicities are the ground truth; the
+combinatorial vertex sums are computed alongside and cross-checked, except
+at infinity when N divides the total weight, where the vertex sum does not
+capture the (t^{d_e} - 1)^{p-2} contribution and is reported as
+unavailable instead.  `bound_spectrum` serves many orders with the same
+residues from one pair of polynomials and one pass over the vertices and
+classes (the census uses it once per draw), after refusing bad input; a
+single bound is its one-order case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
 from .arrangement import CombinatorialSummary, WeightedArrangement, compute_combinatorics
 from .errors import (
     BadMonodromy,
-    BadOrder,
     BadResidues,
     InternalCheckError,
     LengthMismatch,
+    ParseError,
     TrivialMonodromy,
 )
-from .exact import RootOfUnity
-from .factored import CyclotomicExponents, gcd_factored
+from .exact import parse_rational, rational_text
+from .factored import CyclotomicExponents, gcd_factored, require_order
 from .monodromy import charpoly_infinity, charpoly_zero_closed
 
 
@@ -44,8 +48,7 @@ class LocalSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "residues", tuple(self.residues))
-        if type(self.order) is not int or self.order < 1:
-            raise BadOrder(f"order must be a positive integer, got {self.order!r}")
+        require_order(self.order)
         if not self.residues:
             raise BadResidues("residue list must be non-empty")
         for r in self.residues:
@@ -66,8 +69,7 @@ class LocalSystem:
         means that line's monodromy is trivial, which downstream bound
         operations refuse.
         """
-        if type(order) is not int or order < 1:
-            raise BadOrder(f"order must be a positive integer, got {order!r}")
+        require_order(order)
         residues = tuple(residues)
         for r in residues:
             if type(r) is not int:
@@ -92,64 +94,59 @@ class LocalSystem:
         return gcd(*self.residues)
 
 
-def _exact_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"floating-point value {value!r}")
-    return Fraction(value)
+def _monodromy_fraction(value) -> tuple[int, int]:
+    """(p, q) for a string "p" or "p/q" of the file grammar, an int or a Rational."""
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except ParseError as exc:
+            raise BadMonodromy(f"monodromy is not an exact fraction: {exc}") from exc
+    if isinstance(value, Rational):
+        return int(value.numerator), int(value.denominator)
+    raise BadMonodromy(f"monodromy is not an exact fraction: {value!r}")
 
 
 def canonical_local_system(monodromies) -> LocalSystem:
     """Build the local system from monodromy fractions k_j/N_j in [0, 1).
 
-    The order is the lcm of the denominators and each residue is the
-    fraction scaled to it; minimality gcd(residues, order) = 1 then holds
-    automatically.  A fraction 0 means that line's monodromy is 1, which
-    is rejected (`TrivialMonodromy`); a float is not exact (`BadMonodromy`).
+    A fraction is a string "k" or "k/N" as in the arrangement file, an int
+    or a `numbers.Rational` such as `Fraction`; anything else, a float or
+    a `Decimal` among them, is not exact (`BadMonodromy`).  The order is
+    the lcm of the denominators and each residue is the fraction scaled to
+    it; `LocalSystem.create` then reduces to the minimal order.  A
+    fraction 0 means that line's monodromy is 1, which is rejected
+    (`TrivialMonodromy`).
     """
-    try:
-        fractions = [_exact_fraction(m) for m in monodromies]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise BadMonodromy(f"monodromy is not an exact fraction: {exc}") from exc
+    fractions = [_monodromy_fraction(m) for m in monodromies]
     if not fractions:
         raise BadMonodromy("need at least one monodromy")
-    for q in fractions:
-        if not 0 <= q < 1:
-            raise BadMonodromy(f"monodromy fraction {q} outside [0, 1)")
-    if any(q == 0 for q in fractions):
+    for p, q in fractions:
+        if not 0 <= p < q:
+            raise BadMonodromy(f"monodromy fraction {rational_text(p, q)} outside [0, 1)")
+    if any(p == 0 for p, _ in fractions):
         raise TrivialMonodromy("some monodromy equals 1")
-    order = lcm(*(q.denominator for q in fractions))
-    return LocalSystem.create(
-        order, (q.numerator * (order // q.denominator) for q in fractions)
-    )
-
-
-def _require_nontrivial(cs: CombinatorialSummary, ls: LocalSystem) -> None:
-    if len(ls.residues) != cs.d:
-        raise LengthMismatch(f"{cs.d} lines but {len(ls.residues)} residues")
-    if ls.has_trivial:
-        trivial = [i for i, r in enumerate(ls.residues) if r == 0]
-        raise TrivialMonodromy(f"monodromy is 1 on lines {trivial}")
+    order = lcm(*(q for _, q in fractions))
+    return LocalSystem.create(order, (p * (order // q) for p, q in fractions))
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Twisted H^1 upper bound and the cross-checked multiplicity data."""
 
-    a: RootOfUnity
+    order: int
     n0: int
     n_infinity: int
     bound: int
     vertex_sum_zero: int
     vertex_sum_infinity: int | None
-    all_lambda_nontrivial: bool
     normal_crossing_shortcut: bool
 
     def to_json(self) -> dict:
         return {
             "N0": self.n0,
             "NInfinity": self.n_infinity,
-            "a": self.a.to_json(),
-            "allLambdaNontrivial": self.all_lambda_nontrivial,
+            "a": {"k": 1, "order": self.order},
+            "allLambdaNontrivial": True,
             "bound": self.bound,
             "normalCrossingShortcut": self.normal_crossing_shortcut,
             "vertexSumInfinity": self.vertex_sum_infinity,
@@ -161,10 +158,22 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
     """Bound reports for each order N in `orders`, with `residues` as weights.
 
     Equals [bound_from_summary(cs, LocalSystem(N, residues)) for N in orders]
-    whenever each such local system is valid and nontrivial.  The two
-    characteristic polynomials and the vertex and class residue sums are
-    built once; each order is then a few divisibility sums.
+    whenever each such local system is valid.  Raises LengthMismatch unless
+    there are cs.d residues, BadOrder for an order that is not an int >= 1
+    and TrivialMonodromy when an order divides some residue, all before
+    either polynomial is built.  The two characteristic polynomials and
+    the vertex and class residue sums are built once; each order is then
+    a few divisibility sums.
     """
+    if len(residues) != cs.d:
+        raise LengthMismatch(f"{cs.d} lines but {len(residues)} residues")
+    orders = list(orders)
+    for n in orders:
+        require_order(n)
+        # a residue that is not an int is refused below, as a weight (BadWeight)
+        trivial = [i for i, r in enumerate(residues) if type(r) is int and r % n == 0]
+        if trivial:
+            raise TrivialMonodromy(f"monodromy is 1 on lines {trivial}")
     zero = charpoly_zero_closed(cs, residues)
     infinity = charpoly_infinity(cs, residues)
     d_e = sum(residues)
@@ -172,9 +181,8 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
     classes = [(d_e - d_j, g.count - 1) for g, d_j in zip(cs.directions, cs.class_sums(residues))]
     reports = []
     for n in orders:
-        a = RootOfUnity(1, n)
-        n0 = zero.root_multiplicity(a)
-        n_inf = infinity.root_multiplicity(a)
+        n0 = zero.root_multiplicity(n)
+        n_inf = infinity.root_multiplicity(n)
         hits = [c for s, c in vertices if s % n == 0]
         vsz = sum(hits)
         if vsz != n0:
@@ -187,13 +195,12 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
                 raise InternalCheckError(
                     f"infinity vertex sum {vsi} != polynomial multiplicity {n_inf}"
                 )
-        reports.append(BoundReport(a, n0, n_inf, min(n0, n_inf), vsz, vsi, True, not hits))
+        reports.append(BoundReport(n, n0, n_inf, min(n0, n_inf), vsz, vsi, not hits))
     return reports
 
 
 def bound_from_summary(cs: CombinatorialSummary, ls: LocalSystem) -> BoundReport:
     """Bound computation on a precomputed summary, with the residues as weights."""
-    _require_nontrivial(cs, ls)
     return bound_spectrum(cs, ls.residues, (ls.order,))[0]
 
 

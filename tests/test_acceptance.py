@@ -17,7 +17,6 @@ from linemono import (
     DuplicateLine,
     LocalSystem,
     NotEssential,
-    RootOfUnity,
     RunConfig,
     TrivialMonodromy,
     WeightedArrangement,
@@ -132,10 +131,9 @@ def test_criterion_3_degree_identity_unweighted_and_weighted():
 
 
 def test_criterion_4_root_one_multiplicity():
-    one = RootOfUnity(0, 1)
     for arr in census_arrangements() + weighted_variants():
         cs = compute_combinatorics(arr)
-        assert charpoly_infinity(cs).root_multiplicity(one) == cs.d - 1
+        assert charpoly_infinity(cs).root_multiplicity(1) == cs.d - 1
     report(4, "multiplicity of 1 at infinity is d-1, independent of weights")
 
 

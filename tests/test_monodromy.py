@@ -13,7 +13,6 @@ from linemono import (
     CombinatorialSummary,
     FactoredUnityPoly,
     LengthMismatch,
-    RootOfUnity,
     betti1_general_fiber,
     charpoly_infinity,
     charpoly_zero_closed,
@@ -173,7 +172,7 @@ class TestIdentities:
     def test_root_one_multiplicity_is_d_minus_one(self, specs):
         cs = compute_combinatorics(build_arrangement(specs))
         poly = charpoly_infinity(cs)
-        assert poly.root_multiplicity(RootOfUnity(0, 1)) == cs.d - 1
+        assert poly.root_multiplicity(1) == cs.d - 1
 
     @given(arrangement_specs, st.lists(st.integers(1, 5), min_size=6, max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -268,7 +267,7 @@ class TestAgainstDenseOracle:
         cs = compute_combinatorics(eight_normal_crossing)
         poly = charpoly_infinity(cs)
         dense = expand_factored(poly.factors)
-        assert poly.root_multiplicity(RootOfUnity(1, order)) == root_multiplicity(
+        assert poly.root_multiplicity(order) == root_multiplicity(
             dense, order
         )
 

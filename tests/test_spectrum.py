@@ -11,15 +11,19 @@ from dataclasses import replace
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linemono.localsys
 from linemono import (
+    BadOrder,
+    BadWeight,
     BoundReport,
+    InputError,
     InternalCheckError,
+    LengthMismatch,
     LocalSystem,
-    RootOfUnity,
+    TrivialMonodromy,
     WeightedArrangement,
     bound_from_summary,
     charpoly_infinity,
@@ -37,17 +41,15 @@ SPECTRUM_ORDERS = range(2, 25)
 
 def reference_report(cs, ls: LocalSystem) -> BoundReport:
     """The report from the per-order references, one order at a time."""
-    a = RootOfUnity(1, ls.order)
-    n0 = charpoly_zero_closed(cs, ls.residues).to_cyclotomic().multiplicity(a)
-    n_inf = charpoly_infinity(cs, ls.residues).to_cyclotomic().multiplicity(a)
+    n0 = charpoly_zero_closed(cs, ls.residues).to_cyclotomic().multiplicity(ls.order)
+    n_inf = charpoly_infinity(cs, ls.residues).to_cyclotomic().multiplicity(ls.order)
     return BoundReport(
-        a=a,
+        order=ls.order,
         n0=n0,
         n_infinity=n_inf,
         bound=min(n0, n_inf),
         vertex_sum_zero=vertex_mult_zero(cs, ls),
         vertex_sum_infinity=vertex_mult_infinity(cs, ls),
-        all_lambda_nontrivial=True,
         normal_crossing_shortcut=all(
             sum(ls.residues[i] for i in v.incident) % ls.order for v in cs.vertices
         ),
@@ -72,8 +74,11 @@ class TestAgainstReferences:
     @settings(max_examples=80, deadline=None)
     def test_bound_from_summary_matches_references(self, cs, order, raw):
         ls = LocalSystem.create(order, raw[: cs.d])
-        assume(not ls.has_trivial)
-        assert bound_from_summary(cs, ls) == reference_report(cs, ls)
+        if ls.has_trivial:
+            with pytest.raises(TrivialMonodromy):
+                bound_from_summary(cs, ls)
+        else:
+            assert bound_from_summary(cs, ls) == reference_report(cs, ls)
 
     @given(weighted_summaries(), st.lists(st.integers(1, 12), min_size=6, max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -98,13 +103,48 @@ class TestAgainstReferences:
         cs = compute_combinatorics(build_arrangement(specs))
         gcd_poly = delta_f(cs)
         for report in bound_spectrum(cs, (1,) * cs.d, SPECTRUM_ORDERS):
-            assert report.bound == gcd_poly.multiplicity(RootOfUnity(1, report.a.order))
+            assert report.bound == gcd_poly.multiplicity(report.order)
 
     def test_huge_order_needs_no_divisors(self, concurrent_four):
         cs = compute_combinatorics(concurrent_four)
         (report,) = bound_spectrum(cs, (1,) * cs.d, [10**21])
         assert (report.n0, report.n_infinity, report.vertex_sum_infinity) == (0, 0, 0)
-        assert report.a == RootOfUnity(1, 10**21)
+        assert report.order == 10**21
+
+
+class TestRefusals:
+    """Bad local systems are typed input errors, refused before any polynomial is built."""
+
+    @pytest.mark.parametrize(
+        "residues, orders, error, message",
+        [
+            ((2, 2, 2), [2], TrivialMonodromy, r"^monodromy is 1 on lines \[0, 1, 2\]$"),
+            ((1, 1, 1), [1], TrivialMonodromy, r"^monodromy is 1 on lines \[0, 1, 2\]$"),
+            ((3, 3, 3), [3], TrivialMonodromy, r"^monodromy is 1 on lines \[0, 1, 2\]$"),
+            ((1, 2, 1), [3, 2], TrivialMonodromy, r"^monodromy is 1 on lines \[1\]$"),
+            ((1, 1, 1), [0], BadOrder, r"^order must be a positive integer, got 0$"),
+            ((1, 1, 1), [-2], BadOrder, r"^order must be a positive integer, got -2$"),
+            ((1, 1), [3], LengthMismatch, r"^3 lines but 2 residues$"),
+        ],
+    )
+    def test_typed_refusal(self, monkeypatch, triangle, residues, orders, error, message):
+        cs = compute_combinatorics(triangle)
+
+        def unreachable(*args):
+            raise AssertionError("a polynomial was built")
+
+        for name in ("charpoly_zero_closed", "charpoly_infinity"):
+            monkeypatch.setattr(linemono.localsys, name, unreachable)
+        with pytest.raises(error, match=message) as info:
+            bound_spectrum(cs, residues, orders)
+        assert isinstance(info.value, InputError)
+        assert not isinstance(info.value, InternalCheckError)
+
+    @pytest.mark.parametrize("residue", ["1", 1.0, True, -1])
+    def test_residue_that_is_no_weight(self, triangle, residue):
+        cs = compute_combinatorics(triangle)
+        with pytest.raises(BadWeight, match=r"^weight must be a positive integer, got "):
+            bound_spectrum(cs, (residue, 1, 1), [3])
 
 
 class TestCrossCheck:
