@@ -33,13 +33,13 @@ for name in (
           f"weight sums {cs.class_sums(w)}")
     print(f"  multiplicity histogram n_m = { {m: n for m, n in sorted(cs.histogram.items())} }")
     print(f"  vertices on each line v_j = {list(cs.line_vertex_counts)}")
-    for v, d_v in zip(cs.vertices[:4], cs.vertex_sums(w)):
-        x_re, x_im, y_re, y_im, n = v.key
+    rows = zip(cs.keys[:4], cs.incidences, cs.multiplicities, cs.vertex_sums(w))
+    for (x_re, x_im, y_re, y_im, n), incident, m, d_v in rows:
         x, y = gaussian_text(x_re, x_im, n), gaussian_text(y_re, y_im, n)
-        print(f"    vertex ({x}, {y}): lines {sorted(v.incident)}, "
-              f"multiplicity {v.multiplicity}, weight sum {d_v}")
-    if len(cs.vertices) > 4:
-        print(f"    ... and {len(cs.vertices) - 4} more vertices")
-    # the incidence double count ties the three views together
-    assert sum(cs.line_vertex_counts) == sum(v.multiplicity for v in cs.vertices)
+        print(f"    vertex ({x}, {y}): lines {sorted(incident)}, "
+              f"multiplicity {m}, weight sum {d_v}")
+    if len(cs.keys) > 4:
+        print(f"    ... and {len(cs.keys) - 4} more vertices")
+    # the incidence double count: per-line counts and multiplicities agree
+    assert sum(cs.line_vertex_counts) == sum(cs.multiplicities)
     print()

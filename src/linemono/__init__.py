@@ -13,7 +13,6 @@ from .arrangement import (
     CombinatorialSummary,
     DirectionClass,
     Line,
-    Vertex,
     WeightedArrangement,
     compute_combinatorics,
     load_arrangement,
@@ -114,7 +113,6 @@ __all__ = [
     "ParseError",
     "RunConfig",
     "TrivialMonodromy",
-    "Vertex",
     "WeightedArrangement",
     "WeightedNotSupported",
     "ZetaFunction",

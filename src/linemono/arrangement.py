@@ -6,10 +6,9 @@ coefficient among a, b scaled to 1) are the triple over its real lead.
 The combinatorial summary collects everything the closed formulas consume:
 the vertices, the direction classes (the points at infinity, kept purely
 combinatorial), the vertex multiplicity histogram and per-line vertex
-counts.  The vertices are kept as three parallel columns in vertex order
-(integer keys, incident line sets, multiplicities); every formula reads
-the columns, and `CombinatorialSummary.vertices` builds `Vertex` objects
-from them only when read.  The geometry carries no weights:
+counts.  The vertices are three parallel columns in vertex order
+(integer keys, incident line sets, multiplicities), and every formula
+reads them.  The geometry carries no weights:
 `CombinatorialSummary.vertex_sums` and `class_sums` sum a weight vector
 (the arrangement's own, or local-system residues) into d(I_v) and d_j.
 No epsilon appears anywhere; coincidence of intersection points is exact.
@@ -60,7 +59,6 @@ from .errors import (
     BadWeight,
     DuplicateLine,
     FileError,
-    InternalCheckError,
     LengthMismatch,
     NotEssential,
     ParseError,
@@ -256,20 +254,6 @@ def load_arrangement(path) -> WeightedArrangement:
 
 
 @dataclass(frozen=True)
-class Vertex:
-    """An intersection point with its incident lines.
-
-    `key` is the point's primitive integer key (x_re, x_im, y_re, y_im, n)
-    of the module docstring, the point being ((x_re + x_im i)/n,
-    (y_re + y_im i)/n).
-    """
-
-    key: tuple[int, int, int, int, int]
-    incident: frozenset[int]
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class DirectionClass:
     """A maximal parallel class; combinatorial stand-in for a point at infinity.
 
@@ -288,11 +272,11 @@ class CombinatorialSummary:
     """All combinatorial data the invariant formulas consume.
 
     The vertices are three parallel columns in vertex order: `keys`
-    (the integer point keys, sorted on their coordinates), `incidences`
-    (the frozenset of lines through each) and `multiplicities` (their
-    sizes).  `compute_combinatorics` fills them from its loop over pairs
-    of direction classes.  The formulas read the columns; `vertices`
-    zips them into `Vertex` objects the first time it is read.
+    (each point's primitive integer key (x_re, x_im, y_re, y_im, n), the
+    point being ((x_re + x_im i)/n, (y_re + y_im i)/n), sorted on the
+    coordinates), `incidences` (the frozenset of lines through each) and
+    `multiplicities` (their sizes).  `compute_combinatorics` fills them
+    from its loop over pairs of direction classes.
     """
 
     d: int
@@ -303,11 +287,6 @@ class CombinatorialSummary:
     directions: tuple[DirectionClass, ...]
     histogram: dict[int, int]
     line_vertex_counts: tuple[int, ...]
-
-    @cached_property
-    def vertices(self) -> tuple[Vertex, ...]:
-        """The columns zipped into `Vertex` objects, in vertex order."""
-        return tuple(map(Vertex, self.keys, self.incidences, self.multiplicities))
 
     @property
     def p(self) -> int:
@@ -462,7 +441,7 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         for i in incident:
             counts[i] += 1
 
-    summary = CombinatorialSummary(
+    return CombinatorialSummary(
         d=d,
         weights=arr.weights,
         keys=keys,
@@ -472,9 +451,3 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         histogram=histogram,
         line_vertex_counts=tuple(counts),
     )
-
-    # Incidence double count; failure would mean the grouping above is broken.
-    total = sum(multiplicities)
-    if sum(counts) != total or sum(m * n for m, n in histogram.items()) != total:
-        raise InternalCheckError("incidence double count failed")
-    return summary

@@ -278,9 +278,9 @@ def brute_combinatorics(lines, weights=None):
 def vertex_mult_zero(cs, ls):
     """sum (m_v - 2) over vertices whose residue sum the order divides."""
     return sum(
-        v.multiplicity - 2
-        for v in cs.vertices
-        if sum(ls.residues[i] for i in v.incident) % ls.order == 0
+        m - 2
+        for incident, m in zip(cs.incidences, cs.multiplicities)
+        if sum(ls.residues[i] for i in incident) % ls.order == 0
     )
 
 

@@ -206,7 +206,7 @@ class TestCombinatorics:
         assert cs.d == 2 and cs.p == 2
         assert cs.histogram == {2: 1}
         assert cs.line_vertex_counts == (1, 1)
-        assert key_point(cs.vertices[0].key) == ((0, 0), (0, 0))
+        assert key_point(cs.keys[0]) == ((0, 0), (0, 0))
 
     def test_eight_line_fixture_against_brute_force(self, eight_normal_crossing):
         cs = compute_combinatorics(eight_normal_crossing)
@@ -231,7 +231,8 @@ class TestCombinatorics:
     def test_weight_sums(self, weighted_triangle):
         cs = compute_combinatorics(weighted_triangle)
         assert sum(cs.weights) == 4
-        assert sorted(sum(cs.weights[i] for i in v.incident) for v in cs.vertices) == [2, 3, 3]
+        sums = [sum(cs.weights[i] for i in incident) for incident in cs.incidences]
+        assert sorted(sums) == [2, 3, 3]
         info = cs.to_json()
         assert info["dE"] == 4
         assert sorted(v["weightSum"] for v in info["vertices"]) == [2, 3, 3]
@@ -265,7 +266,7 @@ class TestCombinatorics:
 
     def test_vertices_sorted_lexicographically(self, triangle):
         cs = compute_combinatorics(triangle)
-        keys = [(*x, *y) for x, y in (key_point(v.key) for v in cs.vertices)]
+        keys = [(*x, *y) for x, y in map(key_point, cs.keys)]
         assert keys == sorted(keys)
 
 
@@ -296,7 +297,7 @@ class TestInvarianceProperties:
     @settings(max_examples=60, deadline=None)
     def test_incidence_double_count(self, specs):
         cs = compute_combinatorics(build_arrangement(specs))
-        total = sum(v.multiplicity for v in cs.vertices)
+        total = sum(cs.multiplicities)
         assert sum(cs.line_vertex_counts) == total
         assert sum(m * n for m, n in cs.histogram.items()) == total
 
@@ -322,7 +323,7 @@ class TestInvarianceProperties:
         permuted = compute_combinatorics(build_arrangement(shuffled))
         assert original.histogram == permuted.histogram
         assert sorted(original.line_vertex_counts) == sorted(permuted.line_vertex_counts)
-        assert [v.key for v in original.vertices] == [v.key for v in permuted.vertices]
+        assert original.keys == permuted.keys
         assert sorted(g.count for g in original.directions) == sorted(
             g.count for g in permuted.directions
         )

@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from linemono import Vertex, compute_combinatorics, parse_arrangement
+from linemono import CombinatorialSummary, compute_combinatorics, parse_arrangement
 from linemono.cli import EXIT_CLOSED_STDOUT, build_parser, main
 
 from conftest import EIGHT_NORMAL_CROSSING, TRIANGLE, TWO_AXES, WEIGHTED_TRIANGLE
@@ -588,43 +588,21 @@ GRID = {
 }
 
 
-@pytest.fixture
-def vertex_calls(monkeypatch):
-    """Count constructions of `Vertex` made through any module's binding."""
-    import linemono.arrangement
-
-    return count_calls(monkeypatch, linemono.arrangement, "Vertex")
-
-
 class TestNoVertexObjects:
-    """Every command reads the summary's columns; only `cs.vertices` builds `Vertex` objects."""
+    """The summary's three columns are the only vertex data."""
 
-    def test_no_command_builds_a_vertex(self, capsys, tmp_path, vertex_calls):
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(GRID))
-        for command in (
-            ["info"],
-            ["verify"],
-            ["charpoly", "--at", "zero"],
-            ["charpoly", "--at", "infinity"],
-            ["zeta"],
-            ["bound", "--order", "6"],
-        ):
-            assert main([command[0], str(path), *command[1:]]) == 0, command
-        assert main(["census", "--seed", "1", "--count", "20"]) == 0
-        capsys.readouterr()
-        assert vertex_calls == []
+    def test_no_vertex_type(self):
+        import linemono.arrangement
 
-    def test_vertices_zip_the_columns(self, vertex_calls):
+        assert not hasattr(linemono, "Vertex")
+        assert not hasattr(linemono.arrangement, "Vertex")
+
+    def test_no_vertices_view(self):
         cs = compute_combinatorics(parse_arrangement(GRID))
         assert max(cs.histogram) == 4
-        vertices = cs.vertices
-        assert len(vertex_calls) == len(cs.keys)  # the patch does count
-        assert vertices == tuple(
-            Vertex(key, incident, m)
-            for key, incident, m in zip(cs.keys, cs.incidences, cs.multiplicities)
-        )
-        assert cs.vertices is vertices
+        assert not hasattr(CombinatorialSummary, "vertices")
+        assert not hasattr(cs, "vertices")
+        assert len(cs.keys) == len(cs.incidences) == len(cs.multiplicities)
 
 
 @pytest.fixture

@@ -87,19 +87,15 @@ def _build(raw, weights=None):
     return kept, WeightedArrangement.build(lines, weights)
 
 
-def _point(v):
-    return key_point(v.key)
-
-
-def _sort_key(v):
-    x, y = key_point(v.key)
+def _sort_key(key):
+    x, y = key_point(key)
     return (*x, *y)
 
 
 def _assert_sums_match_oracle(cs, oracle, weights):
     """vertex_sums, class_sums and both charpolys over `weights` against the oracle's sums."""
     by_point = oracle["vertex_weight_sums"]
-    assert cs.vertex_sums(weights) == [by_point[_point(v)] for v in cs.vertices]
+    assert cs.vertex_sums(weights) == [by_point[key_point(key)] for key in cs.keys]
     by_direction = oracle["class_weights"]
     assert cs.class_sums(weights) == [
         by_direction[key_coefficients(g.key)] for g in cs.directions
@@ -144,8 +140,10 @@ class TestAgainstOracle:
         residues = residues[: cs.d]
         _assert_sums_match_oracle(cs, brute_combinatorics(kept, residues), residues)
 
-        assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
-        assert all(v.multiplicity == len(v.incident) for v in cs.vertices)
+        assert {
+            key_point(key): sorted(incident) for key, incident in zip(cs.keys, cs.incidences)
+        } == oracle["vertices"]
+        assert all(m == len(incident) for incident, m in zip(cs.incidences, cs.multiplicities))
         _assert_points_from_keys(cs)
         assert cs.histogram == oracle["histogram"]
         assert list(cs.line_vertex_counts) == oracle["line_vertex_counts"]
@@ -155,14 +153,14 @@ class TestAgainstOracle:
         } == oracle["class_members"]
         info = cs.to_json()
         assert {
-            _point(v): row["weightSum"] for v, row in zip(cs.vertices, info["vertices"])
+            key_point(key): row["weightSum"] for key, row in zip(cs.keys, info["vertices"])
         } == oracle["vertex_weight_sums"]
         assert [row["point"] for row in info["vertices"]] == [
-            [gaussian_coef(*z) for z in _point(v)] for v in cs.vertices
+            [gaussian_coef(*z) for z in key_point(key)] for key in cs.keys
         ]
         assert info["dE"] == oracle["d_e"]
 
-        keys = [_sort_key(v) for v in cs.vertices]
+        keys = [_sort_key(key) for key in cs.keys]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -174,8 +172,8 @@ class TestAgainstOracle:
         assume(built is not None)
         _, arr = built
         cs = compute_combinatorics(arr)
-        for v in cs.vertices:
-            x, y = _point(v)
+        for key, incident in zip(cs.keys, cs.incidences):
+            x, y = key_point(key)
             through = [
                 i
                 for i, (line_a, line_b, line_c) in enumerate(
@@ -183,7 +181,7 @@ class TestAgainstOracle:
                 )
                 if cadd(cadd(cmul(line_a, x), cmul(line_b, y)), line_c) == ZERO
             ]
-            assert through == sorted(v.incident)
+            assert through == sorted(incident)
 
 
 class TestGenericLargeDenominators:
@@ -203,7 +201,7 @@ class TestGenericLargeDenominators:
         lines = [Line.canonical(a, b, c) for a, b, c in equations]
         cs = compute_combinatorics(WeightedArrangement.build(lines, [1] * 4))
         left, right = Fraction(1, 1001), Fraction(1, 1000)
-        assert [(_point(v)[0][0], _point(v)[1][0]) for v in cs.vertices] == [
+        assert [(x[0], y[0]) for x, y in map(key_point, cs.keys)] == [
             (left, 0), (left, 1), (right, 0), (right, 1)
         ]
 
@@ -217,9 +215,11 @@ class TestGenericLargeDenominators:
         kept, arr = _build(raw)
         cs = compute_combinatorics(arr)
         oracle = brute_combinatorics(kept)
-        assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
+        assert {
+            key_point(key): sorted(incident) for key, incident in zip(cs.keys, cs.incidences)
+        } == oracle["vertices"]
         _assert_points_from_keys(cs)
-        keys = [_sort_key(v) for v in cs.vertices]
+        keys = [_sort_key(key) for key in cs.keys]
         assert keys == sorted(keys)
 
 
@@ -276,11 +276,13 @@ class TestClassPairs:
         assert len(kept) == len(raw) and condition(arr)
         cs = compute_combinatorics(arr)
         oracle = brute_combinatorics(kept, arr.weights)
-        assert {_point(v): sorted(v.incident) for v in cs.vertices} == oracle["vertices"]
+        assert {
+            key_point(key): sorted(incident) for key, incident in zip(cs.keys, cs.incidences)
+        } == oracle["vertices"]
         assert cs.histogram == oracle["histogram"]
         assert list(cs.line_vertex_counts) == oracle["line_vertex_counts"]
         _assert_sums_match_oracle(cs, oracle, arr.weights)
-        keys = [_sort_key(v) for v in cs.vertices]
+        keys = [_sort_key(key) for key in cs.keys]
         assert keys == sorted(keys)
 
 
@@ -327,9 +329,9 @@ class TestPointOnDemand:
             cs = compute_combinatorics(arr)
             assert cs.to_json()["vertices"][-1]["point"]
             assert built == []
-            assert key_point(cs.vertices[-1].key)
+            assert key_point(cs.keys[-1])
             assert len(built) == 4  # the patch does count
-        assert len(cs.vertices) > 300
+        assert len(cs.keys) > 300
         assert max(cs.histogram) >= 3
 
     def test_peak_memory_of_generic_lines(self):
@@ -355,7 +357,7 @@ class TestPointOnDemand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(cs.vertices) == 7140
+        assert len(cs.keys) == 7140
         assert peak < 1.3 * 4.8 * 2**20
 
 
@@ -404,7 +406,8 @@ class TestAgainstSympy:
                 expected.setdefault(point, set()).update((i, j))
 
         cs = compute_combinatorics(arr)
-        assert {_point(v): set(v.incident) for v in cs.vertices} == expected
+        points = [key_point(key) for key in cs.keys]
+        assert {point: set(incident) for point, incident in zip(points, cs.incidences)} == expected
         _assert_points_from_keys(cs)
-        assert [_point(v) for v in cs.vertices] == sorted(expected, key=lambda p: (*p[0], *p[1]))
-        assert any(v.multiplicity >= 3 for v in cs.vertices)
+        assert points == sorted(expected, key=lambda p: (*p[0], *p[1]))
+        assert any(m >= 3 for m in cs.multiplicities)

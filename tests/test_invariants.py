@@ -37,7 +37,7 @@ class TestMu:
     @settings(max_examples=60, deadline=None)
     def test_equals_one_minus_euler_of_zero_fiber(self, specs):
         cs = compute_combinatorics(build_arrangement(specs))
-        chi_zero_fiber = cs.d - sum(v.multiplicity - 1 for v in cs.vertices)
+        chi_zero_fiber = cs.d - sum(m - 1 for m in cs.multiplicities)
         assert mu_arrangement(cs) == 1 - chi_zero_fiber
         assert mu_arrangement(cs) >= 0
 

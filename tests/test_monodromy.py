@@ -302,7 +302,7 @@ class TestOnePassZeta:
 
     def test_weighted_grid_d200(self):
         cs = compute_combinatorics(weighted_grid(50, seed=5))
-        assert cs.d == 200 and len(cs.vertices) > 5000
+        assert cs.d == 200 and len(cs.keys) > 5000
         start = time.perf_counter()
         z = zeta_at_zero(cs)
         elapsed = time.perf_counter() - start
