@@ -4,11 +4,15 @@ A line is a*x + b*y + c = 0 with Gaussian-rational coefficients, kept as
 an integer triple (below); its canonical coefficients (first nonzero
 coefficient among a, b scaled to 1) are the triple over its real lead.
 The combinatorial summary collects everything the closed formulas consume:
-the vertices, the direction classes (the points at infinity, kept purely
-combinatorial), the vertex multiplicity histogram and per-line vertex
-counts.  The vertices are three parallel columns in vertex order
-(integer keys, incident line sets, multiplicities), and every formula
-reads them.  The geometry carries no weights:
+the multiple points, the number of double points, the direction classes
+(the points at infinity, kept purely combinatorial), the vertex
+multiplicity histogram and per-line vertex counts.  A vertex enters a
+formula with exponent m_v - 2, so only the multiple points (m_v >= 3) are
+kept, as three parallel columns in vertex order (integer keys, incident
+line sets, multiplicities); the double points are only counted.  Every
+vertex, for `info` and the strata, comes from the summary's
+`vertex_table`, built from the same pair loop.  The geometry carries no
+weights:
 `CombinatorialSummary.vertex_sums` and `class_sums` sum a weight vector
 (the arrangement's own, or local-system residues) into d(I_v) and d_j.
 No epsilon appears anywhere; coincidence of intersection points is exact.
@@ -32,7 +36,8 @@ visited one pair of classes at a time, where Z, X conj(Z) and
 Y conj(Z) factor through the class's direction key (`_intersections`).
 A vertex keeps its key; no formula reads coordinates, so its point is
 written from the key only in `CombinatorialSummary.to_json`, and
-vertices sort on integer floors of their scaled coordinates.
+vertices sort on integer floors of their scaled coordinates
+(`_in_point_order`).
 
 Arrangement documents are JSON:
 
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
@@ -271,12 +276,17 @@ class DirectionClass:
 class CombinatorialSummary:
     """All combinatorial data the invariant formulas consume.
 
-    The vertices are three parallel columns in vertex order: `keys`
-    (each point's primitive integer key (x_re, x_im, y_re, y_im, n), the
-    point being ((x_re + x_im i)/n, (y_re + y_im i)/n), sorted on the
+    A vertex v enters the formulas through (t^{d(I_v)} - 1)^{m_v - 2},
+    so a double point (m_v = 2) adds nothing and is only counted.  The
+    multiple points (m_v >= 3) are three parallel columns in vertex order:
+    `keys` (each point's primitive integer key (x_re, x_im, y_re, y_im, n),
+    the point being ((x_re + x_im i)/n, (y_re + y_im i)/n), sorted on the
     coordinates), `incidences` (the frozenset of lines through each) and
-    `multiplicities` (their sizes).  `compute_combinatorics` fills them
-    from its loop over pairs of direction classes.
+    `multiplicities` (their sizes); `double_points` is n_2.  The
+    `histogram` (ascending in m) and `line_vertex_counts` cover every
+    vertex.  `vertex_table` is the one route to every vertex, double
+    points included.  `compute_combinatorics` fills them all from one
+    loop over pairs of direction classes.
     """
 
     d: int
@@ -284,9 +294,12 @@ class CombinatorialSummary:
     keys: tuple[tuple[int, int, int, int, int], ...]
     incidences: tuple[frozenset[int], ...]
     multiplicities: tuple[int, ...]
+    double_points: int
     directions: tuple[DirectionClass, ...]
     histogram: dict[int, int]
     line_vertex_counts: tuple[int, ...]
+    # The pair loop's dict from each vertex key to its lines; read only by `vertex_table`.
+    _points: dict[tuple[int, ...], set[int]] = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -304,20 +317,37 @@ class CombinatorialSummary:
         """
         return self.weights if weights is None else _validated_weights(weights, self.d)
 
-    def vertex_sums(self, weights) -> list[int]:
+    @cached_property
+    def vertex_table(self) -> tuple[tuple, tuple, tuple]:
+        """(keys, incidences, multiplicities) over every vertex, double points included.
+
+        In vertex order, as the columns are.  Built once, when first read,
+        from the dict of this summary's own pair loop, whose sets are the
+        incidences (read them, do not change them): for `to_json`,
+        `strata` and whoever lists the vertices.
+        """
+        keys = tuple(_in_point_order(self._points))
+        incidences = tuple(map(self._points.__getitem__, keys))
+        return keys, incidences, tuple(map(len, incidences))
+
+    def vertex_sums(self, weights, incidences=None) -> list[int]:
         """d(I_v) for each vertex, in vertex order: `weights` summed over its lines.
 
-        With every weight 1 these are the multiplicities.
+        The vertices are the multiple points, or `incidences` when given
+        (such as `vertex_table[1]`).  With every weight 1 these are the
+        multiplicities.
         """
+        incidences = self.incidences if incidences is None else incidences
         if all(e == 1 for e in weights):
-            return list(self.multiplicities)
-        return [sum(map(weights.__getitem__, incident)) for incident in self.incidences]
+            return list(map(len, incidences))
+        return [sum(map(weights.__getitem__, incident)) for incident in incidences]
 
     def class_sums(self, weights) -> list[int]:
         """d_j for each direction class, in class order: `weights` summed over its members."""
         return [sum(map(weights.__getitem__, g.members)) for g in self.directions]
 
     def to_json(self) -> dict:
+        keys, incidences, multiplicities = self.vertex_table
         return {
             "d": self.d,
             "dE": sum(self.weights),
@@ -341,7 +371,7 @@ class CombinatorialSummary:
                     "weightSum": d_v,
                 }
                 for (x_re, x_im, y_re, y_im, n), incident, m, d_v in zip(
-                    self.keys, self.incidences, self.multiplicities, self.vertex_sums(self.weights)
+                    keys, incidences, multiplicities, self.vertex_sums(self.weights, incidences)
                 )
             ],
             "weights": list(self.weights),
@@ -404,11 +434,31 @@ def _intersections(
     return points
 
 
+def _in_point_order(keys) -> list:
+    """Point keys (x_re, x_im, y_re, y_im, n), or class heads of that shape, in coordinate order.
+
+    Distinct coordinates p/n != q/m differ by at least 1/(n m), so with
+    scale >= n m the floors of p * scale / n order them exactly.
+    """
+    scale = max((key[4] for key in keys), default=1) ** 2
+
+    def point_key(key):
+        x_re, x_im, y_re, y_im, n = key
+        return (x_re * scale // n, x_im * scale // n, y_re * scale // n, y_im * scale // n)
+
+    return sorted(keys, key=point_key)
+
+
 def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     """Group all pairwise intersections into vertices and direction classes.
 
-    Vertices are sorted lexicographically on their exact coordinates, so
-    the summary is independent of input line order up to index relabeling.
+    The multiple points and the classes are sorted lexicographically on
+    their exact coordinates, so the summary is independent of input line
+    order up to index relabeling.  The double points are only counted:
+    line i of a k-line class meets the other d - k lines once each, a
+    vertex on it taking m - 1 of them, so v_i is d - k less m - 2 per
+    multiple point on it; the cross-class pairs outside the multiple
+    points are the double points.
     """
     d = arr.d
     classes: dict[tuple[int, ...], list[int]] = {}
@@ -416,30 +466,29 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         classes.setdefault(line.direction_key, []).append(i)
     points = _intersections(arr.lines, classes)
 
-    # Distinct coordinates p/n != q/m differ by at least 1/(n m), so with
-    # scale >= n m the floors of p * scale / n order them exactly.  A class's
-    # key over its lead n (Re A, or Re B when A = 0) is its canonical (a, b),
-    # which orders the classes the same way.
-    heads = {(*key, key[0] or key[2]): members for key, members in classes.items()}
-    scale = max(max((key[4] for key in points), default=1), *(key[4] for key in heads)) ** 2
-
-    def point_key(key):
-        x_re, x_im, y_re, y_im, n = key
-        return (x_re * scale // n, x_im * scale // n, y_re * scale // n, y_im * scale // n)
-
-    keys = tuple(sorted(points, key=point_key))
-    incidences = tuple(map(frozenset, map(points.__getitem__, keys)))
+    keys = tuple(_in_point_order([key for key, incident in points.items() if len(incident) > 2]))
+    incidences = tuple(frozenset(points[key]) for key in keys)
     multiplicities = tuple(map(len, incidences))
+    # A class's key over its lead n (Re A, or Re B when A = 0) is its
+    # canonical (a, b), which orders the classes as points are ordered.
+    heads = {(*key, key[0] or key[2]): members for key, members in classes.items()}
     directions = tuple(
-        DirectionClass(key=head[:4], members=frozenset(members), count=len(members))
-        for head, members in sorted(heads.items(), key=lambda item: point_key(item[0]))
+        DirectionClass(key=head[:4], members=frozenset(heads[head]), count=len(heads[head]))
+        for head in _in_point_order(heads)
     )
 
-    histogram = dict(Counter(multiplicities))
     counts = [0] * d
-    for incident in incidences:
+    double_points = d * (d - 1) // 2
+    for members in classes.values():
+        double_points -= len(members) * (len(members) - 1) // 2
+        for i in members:
+            counts[i] = d - len(members)
+    for incident, m in zip(incidences, multiplicities):
+        double_points -= m * (m - 1) // 2
         for i in incident:
-            counts[i] += 1
+            counts[i] -= m - 2
+    histogram = {2: double_points} if double_points else {}
+    histogram.update(sorted(Counter(multiplicities).items()))
 
     return CombinatorialSummary(
         d=d,
@@ -447,7 +496,9 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         keys=keys,
         incidences=incidences,
         multiplicities=multiplicities,
+        double_points=double_points,
         directions=directions,
         histogram=histogram,
         line_vertex_counts=tuple(counts),
+        _points=points,
     )

@@ -71,6 +71,12 @@ def _census_line(direction: int, offset: int) -> Line:
     return Line.canonical(a, b, offset)
 
 
+@cache
+def _digest_text(line: Line) -> str:
+    """A census line's coefficients as the rows' digest writes them, built once per line."""
+    return line.coeff_string()
+
+
 def draw_arrangement(rng: SplitMix64, max_lines: int) -> WeightedArrangement:
     """Draw one valid unweighted arrangement, discarding invalid draws whole."""
     while True:
@@ -144,7 +150,7 @@ def run_census(config: RunConfig) -> Iterator[CensusRow]:
         if not battery_passed(results):
             failed = [r.name for r in results if not r.passed]
             raise InternalCheckError(f"draw {index} failed checks: {failed}")
-        digest = tuple(line.coeff_string() for line in arr.lines)
+        digest = tuple(map(_digest_text, arr.lines))
         for report in bound_spectrum(cs, (1,) * cs.d, range(2, config.max_order + 1)):
             if report.n0 < report.n_infinity:
                 tighter = "zero"

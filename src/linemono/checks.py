@@ -54,7 +54,7 @@ def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
     """Run every identity check on the summary; a doctored one provokes failures."""
     results: list[CheckResult] = []
 
-    incidence = sum(cs.multiplicities)
+    incidence = sum(cs.multiplicities) + 2 * cs.double_points
     by_lines = sum(cs.line_vertex_counts)
     by_hist = sum(m * n for m, n in cs.histogram.items())
     results.append(
@@ -121,7 +121,8 @@ def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
     )
 
     mu = mu_arrangement(cs)
-    chi_fiber_zero = cs.d - sum(cs.multiplicities) + len(cs.multiplicities)
+    # d - sum of (m_v - 1): a vertex glues m_v points of the lines into one
+    chi_fiber_zero = cs.d - sum(cs.multiplicities) + len(cs.multiplicities) - cs.double_points
     results.append(
         _check(
             "euler-consistency",

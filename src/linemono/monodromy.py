@@ -72,8 +72,9 @@ class StratumDescriptor:
 
 
 def strata(cs: CombinatorialSummary) -> Iterator[StratumDescriptor]:
-    """The stratification of the zero fiber the zeta product runs over."""
-    for m, d_v in zip(cs.multiplicities, cs.vertex_sums(cs.weights)):
+    """The stratification of the zero fiber the zeta product runs over, every vertex included."""
+    _, incidences, multiplicities = cs.vertex_table
+    for m, d_v in zip(multiplicities, cs.vertex_sums(cs.weights, incidences)):
         yield StratumDescriptor("vertex", weight_sum=d_v, multiplicity=m, euler=1)
     for e, count in zip(cs.weights, cs.line_vertex_counts):
         yield StratumDescriptor("open_line_piece", weight_sum=e, multiplicity=1, euler=1 - count)
@@ -139,7 +140,8 @@ def zeta_at_zero(cs: CombinatorialSummary) -> ZetaFunction:
     Every local factor is a power of (1 - t^D), so the product is one
     exponent map, (2 - m) * euler summed per weight sum D in a single
     pass over the strata of `strata(cs)` written out: a vertex adds
-    2 - m_v at d(I_v), the open piece of line j adds 1 - v_j at e_j.
+    2 - m_v at d(I_v), the open piece of line j adds 1 - v_j at e_j.  A
+    double point adds 0, so the pass reads only the multiple points.
     """
     exponents: dict[int, int] = {}
     for m, d_v in zip(cs.multiplicities, cs.vertex_sums(cs.weights)):

@@ -276,10 +276,11 @@ def brute_combinatorics(lines, weights=None):
 
 
 def vertex_mult_zero(cs, ls):
-    """sum (m_v - 2) over vertices whose residue sum the order divides."""
+    """sum (m_v - 2) over every vertex, double points included, whose residue sum the order divides."""
+    _, incidences, multiplicities = cs.vertex_table
     return sum(
         m - 2
-        for incident, m in zip(cs.incidences, cs.multiplicities)
+        for incident, m in zip(incidences, multiplicities)
         if sum(ls.residues[i] for i in incident) % ls.order == 0
     )
 

@@ -206,7 +206,10 @@ class TestCombinatorics:
         assert cs.d == 2 and cs.p == 2
         assert cs.histogram == {2: 1}
         assert cs.line_vertex_counts == (1, 1)
-        assert key_point(cs.keys[0]) == ((0, 0), (0, 0))
+        assert cs.keys == () and cs.double_points == 1
+        keys, incidences, multiplicities = cs.vertex_table
+        assert [key_point(key) for key in keys] == [((0, 0), (0, 0))]
+        assert incidences == (frozenset({0, 1}),) and multiplicities == (2,)
 
     def test_eight_line_fixture_against_brute_force(self, eight_normal_crossing):
         cs = compute_combinatorics(eight_normal_crossing)
@@ -231,8 +234,11 @@ class TestCombinatorics:
     def test_weight_sums(self, weighted_triangle):
         cs = compute_combinatorics(weighted_triangle)
         assert sum(cs.weights) == 4
-        sums = [sum(cs.weights[i] for i in incident) for incident in cs.incidences]
+        assert cs.incidences == () and cs.double_points == 3
+        incidences = cs.vertex_table[1]
+        sums = [sum(cs.weights[i] for i in incident) for incident in incidences]
         assert sorted(sums) == [2, 3, 3]
+        assert cs.vertex_sums(cs.weights, incidences) == sums
         info = cs.to_json()
         assert info["dE"] == 4
         assert sorted(v["weightSum"] for v in info["vertices"]) == [2, 3, 3]
@@ -266,8 +272,8 @@ class TestCombinatorics:
 
     def test_vertices_sorted_lexicographically(self, triangle):
         cs = compute_combinatorics(triangle)
-        keys = [(*x, *y) for x, y in map(key_point, cs.keys)]
-        assert keys == sorted(keys)
+        keys = [(*x, *y) for x, y in map(key_point, cs.vertex_table[0])]
+        assert len(keys) == 3 and keys == sorted(keys)
 
 
 DIRECTION_POOL = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 3)]
@@ -297,7 +303,8 @@ class TestInvarianceProperties:
     @settings(max_examples=60, deadline=None)
     def test_incidence_double_count(self, specs):
         cs = compute_combinatorics(build_arrangement(specs))
-        total = sum(cs.multiplicities)
+        total = sum(cs.vertex_table[2])
+        assert sum(cs.multiplicities) + 2 * cs.double_points == total
         assert sum(cs.line_vertex_counts) == total
         assert sum(m * n for m, n in cs.histogram.items()) == total
 
@@ -324,6 +331,7 @@ class TestInvarianceProperties:
         assert original.histogram == permuted.histogram
         assert sorted(original.line_vertex_counts) == sorted(permuted.line_vertex_counts)
         assert original.keys == permuted.keys
+        assert original.vertex_table[0] == permuted.vertex_table[0]
         assert sorted(g.count for g in original.directions) == sorted(
             g.count for g in permuted.directions
         )

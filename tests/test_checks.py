@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import pytest
+
 from linemono import (
     FactoredUnityPoly,
     ZetaFunction,
@@ -48,7 +50,10 @@ class TestBatteryCatchesCorruption:
         doctored = replace(cs, histogram={2: 2, 3: 1})
         results = run_battery(doctored)
         assert not battery_passed(results)
-        assert failed_names(results)
+        assert failed_names(results) == {
+            "incidence-count", "euler-consistency", "numbers-identity",
+            "unweighted-specialization",
+        }
 
     def test_doctored_histogram_runs_every_charpoly_check(self, triangle):
         """No charpoly reads the histogram: its four checks run and pass."""
@@ -68,7 +73,17 @@ class TestBatteryCatchesCorruption:
         cs = compute_combinatorics(triangle)
         doctored = replace(cs, line_vertex_counts=(2, 2, 3))
         results = run_battery(doctored)
-        assert "incidence-count" in failed_names(results)
+        assert failed_names(results) == {
+            "incidence-count", "degree-identity", "unweighted-specialization"
+        }
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_doctored_double_points(self, concurrent_four, change):
+        """n_2 enters the incidence count and the Euler characteristic of the zero fiber."""
+        cs = compute_combinatorics(concurrent_four)
+        assert cs.double_points == 2 and cs.multiplicities == (3,)
+        doctored = replace(cs, double_points=cs.double_points + change)
+        assert failed_names(run_battery(doctored)) == {"incidence-count", "euler-consistency"}
 
     def test_doctored_total_weight(self, weighted_triangle):
         # a class that loses a member drops that line's weight from the total
@@ -78,7 +93,7 @@ class TestBatteryCatchesCorruption:
         doctored = replace(cs, directions=(lost, *rest))
         results = run_battery(doctored)
         assert not battery_passed(results)
-        assert "direction-partition" in failed_names(results)
+        assert failed_names(results) == {"direction-partition", "degree-identity"}
 
 
 class TestFactoredComparisons:

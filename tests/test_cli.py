@@ -8,11 +8,13 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import linemono.arrangement
 from linemono import CombinatorialSummary, compute_combinatorics, parse_arrangement
 from linemono.cli import EXIT_CLOSED_STDOUT, build_parser, main
 
@@ -255,7 +257,10 @@ class TestVerify:
         payload = run_json(capsys, 2, "verify", triangle_file)
         assert payload["allPassed"] is False
         failed = [c["name"] for c in payload["checks"] if not c["passed"]]
-        assert failed
+        assert failed == [
+            "incidence-count", "numbers-identity", "euler-consistency",
+            "unweighted-specialization",
+        ]
 
 
 class TestCensusCommand:
@@ -659,3 +664,64 @@ class TestOneSpectrumPerDraw:
         assert main(["census", "--seed", "1", "--count", "20", "--max-order", "24"]) == 0
         assert len(charpoly_calls) == 4 * 20
         capsys.readouterr()
+
+
+class TestOnlyInfoListsEveryVertex:
+    """The summary keeps the multiple points; only `info` builds the table of every vertex."""
+
+    @pytest.fixture
+    def counted(self):
+        """(pair loops run, vertex tables built) while the fixture is active."""
+        builds = []
+        build = CombinatorialSummary.__dict__["vertex_table"].func
+
+        def counting(cs):
+            builds.append(cs)
+            return build(cs)
+
+        table = cached_property(counting)
+        table.__set_name__(CombinatorialSummary, "vertex_table")
+        with mock.patch.object(
+            linemono.arrangement, "_intersections", wraps=linemono.arrangement._intersections
+        ) as pairs, mock.patch.object(CombinatorialSummary, "vertex_table", table):
+            yield pairs, builds
+
+    @pytest.mark.parametrize("document", ["GRID", *sorted(p.name for p in FIXTURES.glob("*.json"))])
+    def test_per_command(self, capsys, tmp_path, counted, document):
+        pairs, builds = counted
+        path = FIXTURES / document
+        if document == "GRID":
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps(GRID))
+        runs = {}
+        for command in (
+            ["info"],
+            ["verify"],
+            ["charpoly", "--at", "zero"],
+            ["charpoly", "--at", "infinity", "--expand"],
+            ["zeta"],
+            ["bound", "--order", "5"],
+        ):
+            pairs.reset_mock()
+            builds.clear()
+            assert main([command[0], str(path), *command[1:]]) == 0, command
+            runs[command[0] + (command[2] if len(command) > 2 else "")] = (
+                pairs.call_count, len(builds)
+            )
+        capsys.readouterr()
+        assert runs == {
+            "info": (1, 1), "verify": (1, 0), "charpolyzero": (1, 0),
+            "charpolyinfinity": (1, 0), "zeta": (1, 0), "bound5": (1, 0),
+        }
+
+    def test_census(self, capsys, counted):
+        pairs, builds = counted
+        assert main(["census", "--seed", "1", "--count", "20"]) == 0
+        capsys.readouterr()
+        assert (pairs.call_count, len(builds)) == (20, 0)
+
+    def test_histogram_ascending(self):
+        """n_2 is counted apart from the multiple points, yet leads the histogram."""
+        cs = compute_combinatorics(parse_arrangement(GRID))
+        assert cs.double_points > 0 and max(cs.histogram) == 4
+        assert list(cs.histogram) == sorted(cs.histogram)

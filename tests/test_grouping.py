@@ -92,10 +92,35 @@ def _sort_key(key):
     return (*x, *y)
 
 
+def _assert_vertices_match_oracle(cs, oracle):
+    """Every vertex of `vertex_table`, and the multiple points of the columns, against the oracle.
+
+    The table holds every vertex in coordinate order; the columns hold the
+    multiple points (m >= 3) in the same order; `double_points`, the
+    histogram (ascending in m) and the per-line counts cover every vertex.
+    """
+    keys, incidences, multiplicities = cs.vertex_table
+    assert {
+        key_point(key): sorted(incident) for key, incident in zip(keys, incidences)
+    } == oracle["vertices"]
+    assert list(multiplicities) == list(map(len, incidences))
+    order = [_sort_key(key) for key in keys]
+    assert order == sorted(order) and len(set(order)) == len(order)
+    assert cs.keys == tuple(key for key, m in zip(keys, multiplicities) if m > 2)
+    assert cs.incidences == tuple(i for i, m in zip(incidences, multiplicities) if m > 2)
+    assert cs.multiplicities == tuple(m for m in multiplicities if m > 2)
+    assert cs.double_points == multiplicities.count(2) == oracle["histogram"].get(2, 0)
+    assert cs.histogram == oracle["histogram"]
+    assert list(cs.histogram) == sorted(cs.histogram)
+    assert list(cs.line_vertex_counts) == oracle["line_vertex_counts"]
+
+
 def _assert_sums_match_oracle(cs, oracle, weights):
     """vertex_sums, class_sums and both charpolys over `weights` against the oracle's sums."""
     by_point = oracle["vertex_weight_sums"]
     assert cs.vertex_sums(weights) == [by_point[key_point(key)] for key in cs.keys]
+    keys, incidences, _ = cs.vertex_table
+    assert cs.vertex_sums(weights, incidences) == [by_point[key_point(key)] for key in keys]
     by_direction = oracle["class_weights"]
     assert cs.class_sums(weights) == [
         by_direction[key_coefficients(g.key)] for g in cs.directions
@@ -116,7 +141,7 @@ def _assert_sums_match_oracle(cs, oracle, weights):
 def _assert_points_from_keys(cs):
     """`to_json` writes each point as the Fraction rules write the point built from its key."""
     assert [row["point"] for row in cs.to_json()["vertices"]] == [
-        [gaussian_coef(*z) for z in key_point(key)] for key in cs.keys
+        [gaussian_coef(*z) for z in key_point(key)] for key in cs.vertex_table[0]
     ]
 
 
@@ -140,29 +165,22 @@ class TestAgainstOracle:
         residues = residues[: cs.d]
         _assert_sums_match_oracle(cs, brute_combinatorics(kept, residues), residues)
 
-        assert {
-            key_point(key): sorted(incident) for key, incident in zip(cs.keys, cs.incidences)
-        } == oracle["vertices"]
+        _assert_vertices_match_oracle(cs, oracle)
         assert all(m == len(incident) for incident, m in zip(cs.incidences, cs.multiplicities))
         _assert_points_from_keys(cs)
-        assert cs.histogram == oracle["histogram"]
-        assert list(cs.line_vertex_counts) == oracle["line_vertex_counts"]
         assert cs.p == oracle["p"]
         assert {
             key_coefficients(g.key): sorted(g.members) for g in cs.directions
         } == oracle["class_members"]
         info = cs.to_json()
+        keys = cs.vertex_table[0]
         assert {
-            key_point(key): row["weightSum"] for key, row in zip(cs.keys, info["vertices"])
+            key_point(key): row["weightSum"] for key, row in zip(keys, info["vertices"])
         } == oracle["vertex_weight_sums"]
         assert [row["point"] for row in info["vertices"]] == [
-            [gaussian_coef(*z) for z in key_point(key)] for key in cs.keys
+            [gaussian_coef(*z) for z in key_point(key)] for key in keys
         ]
         assert info["dE"] == oracle["d_e"]
-
-        keys = [_sort_key(key) for key in cs.keys]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
 
     @given(gaussian_arrangements())
     @settings(max_examples=40, deadline=None)
@@ -172,7 +190,7 @@ class TestAgainstOracle:
         assume(built is not None)
         _, arr = built
         cs = compute_combinatorics(arr)
-        for key, incident in zip(cs.keys, cs.incidences):
+        for key, incident in zip(*cs.vertex_table[:2]):
             x, y = key_point(key)
             through = [
                 i
@@ -201,7 +219,8 @@ class TestGenericLargeDenominators:
         lines = [Line.canonical(a, b, c) for a, b, c in equations]
         cs = compute_combinatorics(WeightedArrangement.build(lines, [1] * 4))
         left, right = Fraction(1, 1001), Fraction(1, 1000)
-        assert [(x[0], y[0]) for x, y in map(key_point, cs.keys)] == [
+        assert cs.keys == () and cs.double_points == 4
+        assert [(x[0], y[0]) for x, y in map(key_point, cs.vertex_table[0])] == [
             (left, 0), (left, 1), (right, 0), (right, 1)
         ]
 
@@ -215,12 +234,9 @@ class TestGenericLargeDenominators:
         kept, arr = _build(raw)
         cs = compute_combinatorics(arr)
         oracle = brute_combinatorics(kept)
-        assert {
-            key_point(key): sorted(incident) for key, incident in zip(cs.keys, cs.incidences)
-        } == oracle["vertices"]
+        _assert_vertices_match_oracle(cs, oracle)
+        assert cs.keys == () and cs.double_points == 40 * 39 // 2
         _assert_points_from_keys(cs)
-        keys = [_sort_key(key) for key in cs.keys]
-        assert keys == sorted(keys)
 
 
 def _c(re, im=0):
@@ -276,14 +292,8 @@ class TestClassPairs:
         assert len(kept) == len(raw) and condition(arr)
         cs = compute_combinatorics(arr)
         oracle = brute_combinatorics(kept, arr.weights)
-        assert {
-            key_point(key): sorted(incident) for key, incident in zip(cs.keys, cs.incidences)
-        } == oracle["vertices"]
-        assert cs.histogram == oracle["histogram"]
-        assert list(cs.line_vertex_counts) == oracle["line_vertex_counts"]
+        _assert_vertices_match_oracle(cs, oracle)
         _assert_sums_match_oracle(cs, oracle, arr.weights)
-        keys = [_sort_key(key) for key in cs.keys]
-        assert keys == sorted(keys)
 
 
 class TestWeightSums:
@@ -331,17 +341,18 @@ class TestPointOnDemand:
             assert built == []
             assert key_point(cs.keys[-1])
             assert len(built) == 4  # the patch does count
-        assert len(cs.keys) > 300
+        assert len(cs.vertex_table[0]) > 300
         assert max(cs.histogram) >= 3
 
     def test_peak_memory_of_generic_lines(self):
-        """No per-vertex objects beyond the key, the incidence set and its size.
+        """A double point is only counted: no sorted key or frozenset beyond the pair loop's dict.
 
-        120 generic lines give 7140 vertices.  The peak traced during the
-        grouping measured 4.8 MiB with the vertices kept as columns (5.3 MiB
-        with a `Vertex` object per vertex, 10.4 MiB when every vertex also
-        built its point with Fractions); the bound is that measurement plus
-        30%.
+        120 generic lines give 7140 vertices, all double points.  The peak
+        traced during the grouping measured 3.0 MiB with only the multiple
+        points kept as columns (4.8 MiB with every vertex sorted and frozen
+        into the columns, 5.3 MiB with a `Vertex` object per vertex, 10.4 MiB
+        when every vertex also built its point with Fractions); the bound is
+        that measurement plus 30%.
         """
         rng = random.Random(120)
         triples = set()
@@ -357,8 +368,8 @@ class TestPointOnDemand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(cs.keys) == 7140
-        assert peak < 1.3 * 4.8 * 2**20
+        assert cs.keys == () and cs.double_points == 7140
+        assert peak < 1.3 * 3.0 * 2**20
 
 
 def _random_gaussian(rng, max_den):
@@ -406,8 +417,9 @@ class TestAgainstSympy:
                 expected.setdefault(point, set()).update((i, j))
 
         cs = compute_combinatorics(arr)
-        points = [key_point(key) for key in cs.keys]
-        assert {point: set(incident) for point, incident in zip(points, cs.incidences)} == expected
+        keys, incidences, _ = cs.vertex_table
+        points = [key_point(key) for key in keys]
+        assert {point: set(incident) for point, incident in zip(points, incidences)} == expected
         _assert_points_from_keys(cs)
         assert points == sorted(expected, key=lambda p: (*p[0], *p[1]))
         assert any(m >= 3 for m in cs.multiplicities)

@@ -51,7 +51,7 @@ def reference_report(cs, ls: LocalSystem) -> BoundReport:
         vertex_sum_zero=vertex_mult_zero(cs, ls),
         vertex_sum_infinity=vertex_mult_infinity(cs, ls),
         normal_crossing_shortcut=all(
-            sum(ls.residues[i] for i in incident) % ls.order for incident in cs.incidences
+            sum(ls.residues[i] for i in incident) % ls.order for incident in cs.vertex_table[1]
         ),
     )
 
