@@ -35,8 +35,9 @@ since |Z|^2 > 0.  Only lines of distinct classes meet, so the pairs are
 visited one pair of classes at a time, where Z, X conj(Z) and
 Y conj(Z) factor through the class's direction key (`_intersections`).
 A vertex keeps its key; no formula reads coordinates, so its point is
-written from the key only in `CombinatorialSummary.to_json`, and
-vertices sort on integer floors of their scaled coordinates
+written from the key only when the vertices are written out (by
+`CombinatorialSummary.to_json`, and by `info`'s row writer in `cli`),
+and vertices sort on integer floors of their scaled coordinates
 (`_in_point_order`).
 
 Arrangement documents are JSON:
@@ -346,8 +347,8 @@ class CombinatorialSummary:
         """d_j for each direction class, in class order: `weights` summed over its members."""
         return [sum(map(weights.__getitem__, g.members)) for g in self.directions]
 
-    def to_json(self) -> dict:
-        keys, incidences, multiplicities = self.vertex_table
+    def json_without_vertices(self) -> dict:
+        """Every field of `to_json` but its "vertices", which `info` writes from the columns."""
         return {
             "d": self.d,
             "dE": sum(self.weights),
@@ -363,6 +364,12 @@ class CombinatorialSummary:
             "histogram": {str(m): n for m, n in sorted(self.histogram.items())},
             "lineVertexCounts": list(self.line_vertex_counts),
             "p": self.p,
+            "weights": list(self.weights),
+        }
+
+    def to_json(self) -> dict:
+        keys, incidences, multiplicities = self.vertex_table
+        return self.json_without_vertices() | {
             "vertices": [
                 {
                     "incident": sorted(incident),
@@ -374,7 +381,6 @@ class CombinatorialSummary:
                     keys, incidences, multiplicities, self.vertex_sums(self.weights, incidences)
                 )
             ],
-            "weights": list(self.weights),
         }
 
 

@@ -6,7 +6,10 @@ place of its path, that returns the payload and exit code; `_run` parses,
 builds the summary, runs the command and emits the payload for them all.
 All output is UTF-8 JSON with lexicographically sorted keys, written by
 one emitter, `_emit`, whose bytes equal those of
-`json.dumps(payload, sort_keys=True, indent=2)`.  Exit codes:
+`json.dumps(payload, sort_keys=True, indent=2)`.  `info`'s vertex rows,
+the one output that grows with the number of vertices, are written
+inside it by `_vertex_rows`, straight from the summary's columns with one
+row template, as the bytes of `CombinatorialSummary.to_json`.  Exit codes:
 0 success (and --help), 1 invalid input, usage errors included (with a
 machine-readable error object), 2 internal invariant violation or a
 failed `verify` check, and EXIT_CLOSED_STDOUT when stdout is closed
@@ -20,13 +23,14 @@ import argparse
 import io
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from .arrangement import CombinatorialSummary, compute_combinatorics, load_arrangement
 from .census import RunConfig, run_census, summarize
 from .checks import battery_passed, run_battery
 from .errors import FileError, InputError, InternalCheckError, NumberTooLong, ParseError
+from .exact import rational_text
 from .invariants import invariant_report
 from .localsys import LocalSystem, bound_from_summary
 from .monodromy import charpoly_infinity, charpoly_zero_closed, zeta_at_zero
@@ -38,7 +42,8 @@ Result = tuple[dict, int]  # a command's payload and exit code
 
 
 _INDENT = "  "
-_CONTAINERS = frozenset((dict, list, tuple))
+# A `partial` leaf writes its own text; as a container, a dict holding one is walked, not encoded.
+_CONTAINERS = frozenset((dict, list, tuple, partial))
 
 
 @cache
@@ -74,10 +79,14 @@ def _indented(value, level: int, out: list[str]) -> None:
     A container that holds only scalars (or nothing) is written by one
     call of the C encoder; only containers that hold containers are walked
     here.  The payload is built of plain dicts with str keys, lists,
-    tuples and scalars.
+    tuples and scalars, and of `partial` writers (such as `_vertex_rows`
+    for `info`) whose text, written for the level, is appended as it is.
     """
-    first, separator, close, encode = _level(level)
     kind = type(value)
+    if kind is partial:
+        out.append(value(level))
+        return
+    first, separator, close, encode = _level(level)
     items = value.values() if kind is dict else value
     if kind not in _CONTAINERS or _CONTAINERS.isdisjoint(map(type, items)):
         text = "".join(encode(value, level))
@@ -114,12 +123,52 @@ def _emit_row(payload: dict, stream) -> None:
     stream.write("".join(_encoder(",", ":")(payload, 0)) + "\n")
 
 
+def _vertex_rows(cs: CombinatorialSummary, level: int) -> str:
+    """The "vertices" of `cs.to_json()`, nested `level` deep, as `_indented` writes them.
+
+    Written straight from `cs.vertex_table`: every row has the same four
+    keys, so one %-template writes it, and a line index's or a
+    coordinate's text, which many vertices share, is written once per call.
+    """
+    first, separator, close, _ = _level(level)
+    key_first, key_separator, key_close, _ = _level(level + 1)
+    item_first, item_separator, item_close, _ = _level(level + 2)
+    part_first, part_separator, part_close, _ = _level(level + 3)
+    row = (
+        f'{{{key_first}"incident": [{item_first}%s{item_close}]{key_separator}"multiplicity": %d'
+        f'{key_separator}"point": [{item_first}%s{item_separator}%s{item_close}]'
+        f'{key_separator}"weightSum": %d{key_close}}}'
+    )
+    non_real = f'{{{part_first}"im": "%s"{part_separator}"re": "%s"{part_close}}}'
+    names = list(map(str, range(cs.d)))
+
+    @cache
+    def coordinate(re: int, im: int, n: int) -> str:
+        if im == 0:
+            return f'"{rational_text(re, n)}"'
+        return non_real % (rational_text(im, n), rational_text(re, n))
+
+    keys, incidences, multiplicities = cs.vertex_table
+    rows = [
+        row % (
+            item_separator.join([names[i] for i in sorted(incident)]), m,
+            coordinate(x_re, x_im, n), coordinate(y_re, y_im, n), d_v,
+        )
+        for (x_re, x_im, y_re, y_im, n), incident, m, d_v in zip(
+            keys, incidences, multiplicities, cs.vertex_sums(cs.weights, incidences)
+        )
+    ]
+    return f"[{first}{separator.join(rows)}{close}]"
+
+
 def cmd_info(cs: CombinatorialSummary) -> Result:
     report = invariant_report(cs)
     if not report.numbers_identity_holds:
         raise InternalCheckError("numerical-data identity failed")
     payload = report.to_json()
-    payload["combinatorics"] = cs.to_json()
+    payload["combinatorics"] = cs.json_without_vertices() | {
+        "vertices": partial(_vertex_rows, cs)
+    }
     return payload, 0
 
 

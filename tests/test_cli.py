@@ -16,7 +16,7 @@ import pytest
 
 import linemono.arrangement
 from linemono import CombinatorialSummary, compute_combinatorics, parse_arrangement
-from linemono.cli import EXIT_CLOSED_STDOUT, build_parser, main
+from linemono.cli import EXIT_CLOSED_STDOUT, _vertex_rows, build_parser, main
 
 from conftest import EIGHT_NORMAL_CROSSING, TRIANGLE, TWO_AXES, WEIGHTED_TRIANGLE
 
@@ -136,6 +136,24 @@ class TestNumberTooLong:
         for command in ("verify", "zeta"):
             assert main([command, path]) == 0
             assert "error" not in json.loads(capsys.readouterr().out)
+
+    def test_vertex_weight_sum(self, capsys, tmp_path):
+        weight = 9 * 10**4299  # two such weights through the origin sum to 4301 digits
+        lines = [
+            {"a": 1, "b": 0, "c": 0, "e": weight},
+            {"a": 0, "b": 1, "c": 0, "e": weight},
+            {"a": 1, "b": 1, "c": 1},
+        ]
+        assert main(["info", self._write(tmp_path, lines)]) == 1
+        error = {
+            "error": "NumberTooLong",
+            "message": "a number to be written out has more than 4300 digits",
+        }
+        assert capsys.readouterr().out == json.dumps(error, indent=2) + "\n"
+        # dE is longer still; the row writer alone refuses the weight sum too.
+        cs = compute_combinatorics(parse_arrangement({"lines": lines}))
+        with pytest.raises(ValueError, match="integer string conversion"):
+            _vertex_rows(cs, 2)
 
     def test_factor_index(self, capsys, tmp_path):
         weight = 9 * 10**4299  # two such weights sum to a 4301-digit factor index
