@@ -12,9 +12,8 @@ kept, as three parallel columns in vertex order (integer keys, incident
 line sets, multiplicities); the double points are only counted.  Every
 vertex, for `info` and the strata, comes from the summary's
 `vertex_table`, built from the same pair loop.  The geometry carries no
-weights:
-`CombinatorialSummary.vertex_sums` and `class_sums` sum a weight vector
-(the arrangement's own, or local-system residues) into d(I_v) and d_j.
+weights: `CombinatorialSummary.vertex_sums` and `class_sums` sum a weight
+vector (the arrangement's own, or local-system residues) into d(I_v) and d_j.
 No epsilon appears anywhere; coincidence of intersection points is exact.
 
 A line is kept as its triple (Re A, Im A, Re B, Im B, Re C, Im C): the
@@ -31,9 +30,10 @@ Vertices are grouped in integer arithmetic on the triples: two lines
 with Z = A1 B2 - A2 B1 != 0 meet at (X/Z, Y/Z), X = C2 B1 - C1 B2,
 Y = C1 A2 - C2 A1.  The key (X conj(Z), Y conj(Z), |Z|^2), five
 integers over their gcd, is the same for every pair through a point
-since |Z|^2 > 0.  Only lines of distinct classes meet, so the pairs are
-visited one pair of classes at a time, where Z, X conj(Z) and
-Y conj(Z) factor through the class's direction key (`_intersections`).
+since |Z|^2 > 0, and already primitive when |Z|^2 = 1.  The pairs are
+visited one pair of exact-(A, B) groups at a time, so Z, A conj(Z) and
+B conj(Z) are computed once per pair of groups (`_intersections`); a
+double point keeps its pair of lines, and only a multiple point a set.
 A vertex keeps its key; no formula reads coordinates, so its point is
 written from the key only when the vertices are written out (by
 `CombinatorialSummary.to_json`, and by `info`'s row writer in `cli`),
@@ -113,6 +113,9 @@ class Line:
         A COEF is an int, a rational string "p" or "p/q", or
         {"re": RAT, "im": RAT}, as in an arrangement document.
         """
+        if type(a) is type(b) is type(c) is int and (a or b):
+            g = gcd(a, b, c) if (a or b) > 0 else -gcd(a, b, c)
+            return cls((a // g, 0, b // g, 0, c // g, 0))
         parts = [part for z in (a, b, c) for part in parse_coefficient(z)]
         scale = lcm(*(den for _, den in parts))
         ar, ai, br, bi, cr, ci = (num * (scale // den) for num, den in parts)
@@ -287,7 +290,7 @@ class CombinatorialSummary:
     `histogram` (ascending in m) and `line_vertex_counts` cover every
     vertex.  `vertex_table` is the one route to every vertex, double
     points included.  `compute_combinatorics` fills them all from one
-    loop over pairs of direction classes.
+    loop over pairs of exact-(A, B) groups.
     """
 
     d: int
@@ -299,8 +302,8 @@ class CombinatorialSummary:
     directions: tuple[DirectionClass, ...]
     histogram: dict[int, int]
     line_vertex_counts: tuple[int, ...]
-    # The pair loop's dict from each vertex key to its lines; read only by `vertex_table`.
-    _points: dict[tuple[int, ...], set[int]] = field(repr=False, compare=False)
+    # The pair loop's vertex keys to their lines (a pair, or a set if m > 2); for `vertex_table`.
+    _points: dict[tuple[int, ...], tuple | set] = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -323,10 +326,12 @@ class CombinatorialSummary:
         """(keys, incidences, multiplicities) over every vertex, double points included.
 
         In vertex order, as the columns are.  Built once, when first read,
-        from the dict of this summary's own pair loop, whose sets are the
-        incidences (read them, do not change them): for `to_json`,
+        from the dict of this summary's own pair loop, whose pairs and
+        sets it freezes in place into the incidences: for `to_json`,
         `strata` and whoever lists the vertices.
         """
+        for key, incident in self._points.items():
+            self._points[key] = frozenset(incident)
         keys = tuple(_in_point_order(self._points))
         incidences = tuple(map(self._points.__getitem__, keys))
         return keys, incidences, tuple(map(len, incidences))
@@ -384,60 +389,58 @@ class CombinatorialSummary:
         }
 
 
-def _intersections(
-    lines: tuple[Line, ...], classes: dict[tuple[int, ...], list[int]]
-) -> dict[tuple[int, ...], set[int]]:
-    """Each intersection point's key (module docstring) with the lines through it.
+def _intersections(lines: tuple[Line, ...]) -> tuple[dict, list]:
+    """Each point's key (module docstring) with its lines, and the keys of the multiple points.
 
-    Lines of one class never meet, so only pairs of distinct classes J, K
-    are visited.  Line i of class J has triple (g_i a_J, g_i b_J, C_i),
-    (a_J, b_J) being the class's direction key, so a pair (i, j) from
-    J x K has Z = g_i g_j Z_JK with Z_JK = a_J b_K - a_K b_J != 0, and
-    its key over g_i g_j, which reduces by the gcd to the same primitive
-    key, is
+    The lines are grouped by their exact (A, B).  Two groups (A1, B1) and
+    (A2, B2) meet unless Z = A1 B2 - A2 B1 = 0 (one class), line i of the
+    first and j of the second at the key
 
-        (g_i P'_j - g_j P_i,  g_j Q_i - g_i Q'_j,  g_i g_j |Z_JK|^2)
+        (C_j B1 conj(Z) - C_i B2 conj(Z),  C_i A2 conj(Z) - C_j A1 conj(Z),  |Z|^2)
 
-    with P_i = C_i b_K conj(Z_JK), Q_i = C_i a_K conj(Z_JK) for i in J
-    and P'_j = C_j b_J conj(Z_JK), Q'_j = C_j a_J conj(Z_JK) for j in K.
+    over its gcd.  A double point keeps its pair (i, j); a second pair
+    through it makes the set of its lines and lists its key.
     """
-    groups = [
-        (key, [(i, gcd(*lines[i].triple[:4]), *lines[i].triple[4:]) for i in members])
-        for key, members in classes.items()
-    ]
-    points: dict[tuple[int, ...], set[int]] = {}
-    for (key_j, rows_j), (key_k, rows_k) in combinations(groups, 2):
-        ar1, ai1, br1, bi1 = key_j
-        ar2, ai2, br2, bi2 = key_k
+    groups: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    for i, line in enumerate(lines):
+        groups.setdefault(line.triple[:4], []).append((i, *line.triple[4:]))
+    points: dict[tuple[int, ...], tuple | set] = {}
+    multiple = []
+    for ((ar1, ai1, br1, bi1), rows_1), ((ar2, ai2, br2, bi2), rows_2) in combinations(
+        groups.items(), 2
+    ):
         zr = ar1 * br2 - ai1 * bi2 - ar2 * br1 + ai2 * bi1
         zi = ar1 * bi2 + ai1 * br2 - ar2 * bi1 - ai2 * br1
+        if not (zr or zi):
+            continue
         norm = zr * zr + zi * zi
-        # The other class's b and a times conj(Z_JK), as (re, im); then the rows
-        # (i, g_i, g_i |Z_JK|^2, P_i, Q_i) of J and (j, g_j, P'_j, Q'_j) of K.
-        bkr, bki = br2 * zr + bi2 * zi, bi2 * zr - br2 * zi
-        akr, aki = ar2 * zr + ai2 * zi, ai2 * zr - ar2 * zi
-        bjr, bji = br1 * zr + bi1 * zi, bi1 * zr - br1 * zi
-        ajr, aji = ar1 * zr + ai1 * zi, ai1 * zr - ar1 * zi
-        first = [
-            (i, g, g * norm, cr * bkr - ci * bki, cr * bki + ci * bkr,
-             cr * akr - ci * aki, cr * aki + ci * akr)
-            for i, g, cr, ci in rows_j
-        ]
+        # Each group's B and A times conj(Z), as (re, im); a line's C times the other group's.
+        b2r, b2i = br2 * zr + bi2 * zi, bi2 * zr - br2 * zi
+        a2r, a2i = ar2 * zr + ai2 * zi, ai2 * zr - ar2 * zi
+        b1r, b1i = br1 * zr + bi1 * zi, bi1 * zr - br1 * zi
+        a1r, a1i = ar1 * zr + ai1 * zi, ai1 * zr - ar1 * zi
         second = [
-            (j, g, cr * bjr - ci * bji, cr * bji + ci * bjr,
-             cr * ajr - ci * aji, cr * aji + ci * ajr)
-            for j, g, cr, ci in rows_k
+            (j, cr * b1r - ci * b1i, cr * b1i + ci * b1r, cr * a1r - ci * a1i, cr * a1i + ci * a1r)
+            for j, cr, ci in rows_2
         ]
-        for i, gi, gn, pr, pi, qr, qi in first:
-            for j, gj, sr, si, tr, ti in second:
-                x_re, x_im = gi * sr - gj * pr, gi * si - gj * pi
-                y_re, y_im = gj * qr - gi * tr, gj * qi - gi * ti
-                n = gn * gj
-                g = gcd(x_re, x_im, y_re, y_im, n)
-                if g != 1:
-                    x_re, x_im, y_re, y_im, n = x_re // g, x_im // g, y_re // g, y_im // g, n // g
-                points.setdefault((x_re, x_im, y_re, y_im, n), set()).update((i, j))
-    return points
+        for i, cr, ci in rows_1:
+            pr, pi = cr * b2r - ci * b2i, cr * b2i + ci * b2r
+            qr, qi = cr * a2r - ci * a2i, cr * a2i + ci * a2r
+            for j, sr, si, tr, ti in second:
+                if norm == 1:
+                    key = (sr - pr, si - pi, qr - tr, qi - ti, 1)
+                else:
+                    x_re, x_im, y_re, y_im = sr - pr, si - pi, qr - tr, qi - ti
+                    g = gcd(x_re, x_im, y_re, y_im, norm)
+                    key = (x_re // g, x_im // g, y_re // g, y_im // g, norm // g)
+                pair = (i, j)
+                incident = points.setdefault(key, pair)
+                if type(incident) is set:
+                    incident.update(pair)
+                elif incident is not pair:
+                    points[key] = {*incident, i, j}
+                    multiple.append(key)
+    return points, multiple
 
 
 def _in_point_order(keys) -> list:
@@ -460,19 +463,18 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
 
     The multiple points and the classes are sorted lexicographically on
     their exact coordinates, so the summary is independent of input line
-    order up to index relabeling.  The double points are only counted:
-    line i of a k-line class meets the other d - k lines once each, a
-    vertex on it taking m - 1 of them, so v_i is d - k less m - 2 per
-    multiple point on it; the cross-class pairs outside the multiple
-    points are the double points.
+    order up to index relabeling.  The double points are only counted,
+    as the points the pair loop kept as pairs: line i of a k-line class
+    meets the other d - k lines once each, a vertex on it taking m - 1 of
+    them, so v_i is d - k less m - 2 per multiple point on it.
     """
     d = arr.d
     classes: dict[tuple[int, ...], list[int]] = {}
     for i, line in enumerate(arr.lines):
         classes.setdefault(line.direction_key, []).append(i)
-    points = _intersections(arr.lines, classes)
+    points, multiple = _intersections(arr.lines)
 
-    keys = tuple(_in_point_order([key for key, incident in points.items() if len(incident) > 2]))
+    keys = tuple(_in_point_order(multiple))
     incidences = tuple(frozenset(points[key]) for key in keys)
     multiplicities = tuple(map(len, incidences))
     # A class's key over its lead n (Re A, or Re B when A = 0) is its
@@ -484,15 +486,13 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     )
 
     counts = [0] * d
-    double_points = d * (d - 1) // 2
     for members in classes.values():
-        double_points -= len(members) * (len(members) - 1) // 2
         for i in members:
             counts[i] = d - len(members)
     for incident, m in zip(incidences, multiplicities):
-        double_points -= m * (m - 1) // 2
         for i in incident:
             counts[i] -= m - 2
+    double_points = len(points) - len(multiple)
     histogram = {2: double_points} if double_points else {}
     histogram.update(sorted(Counter(multiplicities).items()))
 

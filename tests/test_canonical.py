@@ -9,7 +9,8 @@ derived from the triple.
 the integer tuples.  These tests compare all of it with the Fraction-pair
 quotient of `_oracles.py` and with Fraction equality, on real scales
 other than +-1, negative scales, non-real scales and a = 0, through
-`Line.canonical` and through JSON documents alike.
+`Line.canonical` and through JSON documents alike.  Integer a, b, c take
+a shorter route in `Line.canonical`, checked against the rational one.
 """
 
 import json
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linemono import (
@@ -28,6 +29,7 @@ from linemono import (
     WeightedArrangement,
     parse_arrangement,
 )
+from linemono.cli import main
 
 from _oracles import cdiv, cmul, gaussian_coef, key_coefficients
 
@@ -252,3 +254,41 @@ class TestBuildDecisions:
         else:
             with pytest.raises(ParseError):
                 Line(unscaled)
+
+
+# Integer parts: zero, small, and up to the 4300-digit literal limit; a common
+# factor and a sign are applied on top, and products over the limit are dropped.
+integer_parts = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**4299), 10**4299))
+common_factors = st.one_of(st.just(1), st.integers(2, 12), st.integers(10**4000, 10**4290))
+
+
+class TestIntegerRoute:
+    """Integer a, b, c take `Line.canonical`'s integer route; the rest take the rational one."""
+
+    @given(integer_parts, integer_parts, integer_parts, common_factors, st.sampled_from([1, -1]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_rational_route(self, a, b, c, factor, sign):
+        a, b, c = (k * factor * sign for k in (a, b, c))
+        assume((a or b) and max(abs(a), abs(b), abs(c)) < 10**4300)
+        line = Line.canonical(a, b, c)
+        assert line == Line.canonical(str(a), str(b), str(c))
+        assert line.triple[1::2] == (0, 0, 0) and gcd(*line.triple) == 1
+
+    def test_lead_signs_and_common_factors(self):
+        assert Line.canonical(-6, 4, -2).triple == (3, 0, -2, 0, 1, 0)
+        assert Line.canonical(0, -6, 9).triple == (0, 0, 2, 0, -3, 0)
+        assert Line.canonical(0, 5, 0).triple == (0, 0, 1, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"a": True, "b": 1, "c": 0}, {"a": 1, "b": 0, "c": False}, {"a": 0, "b": 0, "c": 5}],
+        ids=["true-lead", "false-offset", "no-direction"],
+    )
+    def test_other_inputs_still_refused(self, capsys, tmp_path, entry):
+        """A JSON boolean is no integer, and (0, 0, c) no line: exit 1 with `ParseError`."""
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"lines": [entry, {"a": 1, "b": 1, "c": 1}]}))
+        assert main(["info", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+        with pytest.raises(ParseError):
+            Line.canonical(entry["a"], entry["b"], entry["c"])
