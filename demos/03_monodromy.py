@@ -10,11 +10,11 @@ degree equals b1 of the general fiber.
 from pathlib import Path
 
 from linemono import (
-    betti1_general_fiber,
     charpoly_infinity,
     charpoly_zero_closed,
     charpoly_zero_from_zeta,
     compute_combinatorics,
+    invariant_report,
     load_arrangement,
     local_zeta,
     strata,
@@ -30,7 +30,7 @@ for name in ("triangle.json", "weighted_triangle.json", "eight_line_normal_cross
     zero = charpoly_zero_closed(cs)
     print(f"  at infinity: {inf}  (degree {inf.degree()})")
     print(f"  about zero:  {zero}  (degree {zero.degree()})")
-    print(f"  b1(general fiber) = {betti1_general_fiber(cs)}")
+    print(f"  b1(general fiber) = {invariant_report(cs).b1_fiber}")
 
     z = zeta_at_zero(cs)
     print(f"  zeta about zero: {z}")

@@ -11,39 +11,38 @@ from pathlib import Path
 
 from linemono import (
     LocalSystem,
+    bound_from_summary,
     charpoly_infinity,
     charpoly_zero_closed,
     compute_combinatorics,
     delta_f,
-    h1_upper_bound,
     load_arrangement,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-eight = load_arrangement(FIXTURES / "eight_line_normal_crossing.json")
+cs = compute_combinatorics(load_arrangement(FIXTURES / "eight_line_normal_crossing.json"))
 print("eight lines, only double points, cube root of unity on every line:")
-report = h1_upper_bound(eight, LocalSystem.equimonodromical(3, eight.d))
+report = bound_from_summary(cs, LocalSystem.create(3, [1] * cs.d))
 print(f"  N0 = {report.n0} (no vertex weight sum divisible by 3: "
       f"shortcut={report.normal_crossing_shortcut})")
 print(f"  NInfinity = {report.n_infinity} (every direction class has weight 6 short of 8)")
 print(f"  bound = {report.bound}  -- the zero side wins")
 print()
 
-concurrent = load_arrangement(FIXTURES / "concurrent_four.json")
+cs = compute_combinatorics(load_arrangement(FIXTURES / "concurrent_four.json"))
 print("four lines, three through one point, cube root of unity:")
-report = h1_upper_bound(concurrent, LocalSystem.equimonodromical(3, concurrent.d))
+report = bound_from_summary(cs, LocalSystem.create(3, [1] * cs.d))
 print(f"  N0 = {report.n0} (the triple point has weight sum 3)")
 print(f"  NInfinity = {report.n_infinity}")
 print(f"  bound = {report.bound}  -- the infinity side wins")
 print()
 
-triangle = load_arrangement(FIXTURES / "triangle.json")
+cs = compute_combinatorics(load_arrangement(FIXTURES / "triangle.json"))
 print("triangle with non-equimonodromical residues (1, 1, 2) at order 4:")
 ls = LocalSystem.create(4, [1, 1, 2])
-report = h1_upper_bound(triangle, ls)
+report = bound_from_summary(cs, ls)
 print(f"  N0 = {report.n0}, NInfinity = {report.n_infinity}, bound = {report.bound}")
-cs = compute_combinatorics(triangle)
 print(f"  same geometry, residues as weights: about zero "
       f"{charpoly_zero_closed(cs, ls.residues)}, "
       f"at infinity {charpoly_infinity(cs, ls.residues)}")

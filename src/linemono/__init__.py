@@ -18,14 +18,7 @@ from .arrangement import (
     load_arrangement,
     parse_arrangement,
 )
-from .census import (
-    DIRECTIONS,
-    CensusRow,
-    RunConfig,
-    draw_arrangement,
-    run_census,
-    summarize,
-)
+from .census import CensusRow, RunConfig, run_census, summarize
 from .checks import CheckResult, battery_passed, run_battery
 from .errors import (
     BadGcd,
@@ -46,29 +39,14 @@ from .errors import (
     TrivialMonodromy,
     WeightedNotSupported,
 )
-from .factored import (
-    EXPAND_LIMIT,
-    INDEX_LIMIT,
-    CyclotomicExponents,
-    FactoredUnityPoly,
-    gcd_factored,
-)
-from .invariants import (
-    InvariantReport,
-    betti1_general_fiber,
-    genus_general_fiber,
-    infinity_singularity_mu,
-    invariant_report,
-    mu_arrangement,
-    numbers_identity,
-)
+from .factored import EXPAND_LIMIT, INDEX_LIMIT, CyclotomicExponents, FactoredUnityPoly
+from .invariants import InvariantReport, invariant_report
 from .localsys import (
     BoundReport,
     LocalSystem,
     bound_from_summary,
     canonical_local_system,
     delta_f,
-    h1_upper_bound,
 )
 from .monodromy import (
     ZetaFunction,
@@ -93,7 +71,6 @@ __all__ = [
     "CheckResult",
     "CombinatorialSummary",
     "CyclotomicExponents",
-    "DIRECTIONS",
     "DirectionClass",
     "DuplicateLine",
     "EXPAND_LIMIT",
@@ -117,7 +94,6 @@ __all__ = [
     "WeightedNotSupported",
     "ZetaFunction",
     "battery_passed",
-    "betti1_general_fiber",
     "bound_from_summary",
     "canonical_local_system",
     "charpoly_infinity",
@@ -125,16 +101,9 @@ __all__ = [
     "charpoly_zero_from_zeta",
     "compute_combinatorics",
     "delta_f",
-    "draw_arrangement",
-    "gcd_factored",
-    "genus_general_fiber",
-    "h1_upper_bound",
-    "infinity_singularity_mu",
     "invariant_report",
     "load_arrangement",
     "local_zeta",
-    "mu_arrangement",
-    "numbers_identity",
     "parse_arrangement",
     "run_battery",
     "run_census",

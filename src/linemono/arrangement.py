@@ -35,10 +35,9 @@ visited one pair of exact-(A, B) groups at a time, so Z, A conj(Z) and
 B conj(Z) are computed once per pair of groups (`_intersections`); a
 double point keeps its pair of lines, and only a multiple point a set.
 A vertex keeps its key; no formula reads coordinates, so its point is
-written from the key only when the vertices are written out (by
-`CombinatorialSummary.to_json`, and by `info`'s row writer in `cli`),
-and vertices sort on integer floors of their scaled coordinates
-(`_in_point_order`).
+written from the key only when `info`'s row writer in `cli` writes the
+vertices out, and vertices sort on integer floors of their scaled
+coordinates (`_in_point_order`).
 
 Arrangement documents are JSON:
 
@@ -327,8 +326,8 @@ class CombinatorialSummary:
 
         In vertex order, as the columns are.  Built once, when first read,
         from the dict of this summary's own pair loop, whose pairs and
-        sets it freezes in place into the incidences: for `to_json`,
-        `strata` and whoever lists the vertices.
+        sets it freezes in place into the incidences: for `info`, `strata`
+        and whoever lists the vertices.
         """
         for key, incident in self._points.items():
             self._points[key] = frozenset(incident)
@@ -353,7 +352,7 @@ class CombinatorialSummary:
         return [sum(map(weights.__getitem__, g.members)) for g in self.directions]
 
     def json_without_vertices(self) -> dict:
-        """Every field of `to_json` but its "vertices", which `info` writes from the columns."""
+        """`info`'s "combinatorics" but its "vertices", which `cli._vertex_rows` writes."""
         return {
             "d": self.d,
             "dE": sum(self.weights),
@@ -370,22 +369,6 @@ class CombinatorialSummary:
             "lineVertexCounts": list(self.line_vertex_counts),
             "p": self.p,
             "weights": list(self.weights),
-        }
-
-    def to_json(self) -> dict:
-        keys, incidences, multiplicities = self.vertex_table
-        return self.json_without_vertices() | {
-            "vertices": [
-                {
-                    "incident": sorted(incident),
-                    "multiplicity": m,
-                    "point": [gaussian_json(x_re, x_im, n), gaussian_json(y_re, y_im, n)],
-                    "weightSum": d_v,
-                }
-                for (x_re, x_im, y_re, y_im, n), incident, m, d_v in zip(
-                    keys, incidences, multiplicities, self.vertex_sums(self.weights, incidences)
-                )
-            ],
         }
 
 

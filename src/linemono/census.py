@@ -15,9 +15,9 @@ identical output on every platform:
   acceptance order.
 
 For every accepted arrangement the verification battery must pass, and
-for each order N in 2..max_order the equimonodromical local system with
-monodromy exp(2*pi*i/N) on every line yields one census row recording
-which side of the bound is tighter.
+for each order N in 2..max_order the local system with monodromy
+exp(2*pi*i/N) on every line yields one census row recording which side
+of the bound is tighter.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ one emitter, `_emit`, whose bytes equal those of
 `json.dumps(payload, sort_keys=True, indent=2)`.  `info`'s vertex rows,
 the one output that grows with the number of vertices, are written
 inside it by `_vertex_rows`, straight from the summary's columns with one
-row template, as the bytes of `CombinatorialSummary.to_json`.  Exit codes:
+row template.  Exit codes:
 0 success (and --help), 1 invalid input, usage errors included (with a
 machine-readable error object), 2 internal invariant violation or a
 failed `verify` check, and EXIT_CLOSED_STDOUT when stdout is closed
@@ -124,7 +124,7 @@ def _emit_row(payload: dict, stream) -> None:
 
 
 def _vertex_rows(cs: CombinatorialSummary, level: int) -> str:
-    """The "vertices" of `cs.to_json()`, nested `level` deep, as `_indented` writes them.
+    """`info`'s "vertices" of `cs`, nested `level` deep, as `_indented` writes them.
 
     Written straight from `cs.vertex_table`: every row has the same four
     keys, so one %-template writes it, and a line index's or a

@@ -32,9 +32,13 @@ def numbers_identity(cs: CombinatorialSummary) -> tuple[int, int]:
     return vertex_side, direction_side
 
 
-def betti1_general_fiber(cs: CombinatorialSummary) -> int:
-    """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j, over the arrangement's weights."""
-    d_js = cs.class_sums(cs.weights)
+def betti1_general_fiber(cs: CombinatorialSummary, d_js=None) -> int:
+    """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j, over the arrangement's weights.
+
+    `d_js` is `cs.class_sums(cs.weights)`, passed by a caller that has it.
+    """
+    if d_js is None:
+        d_js = cs.class_sums(cs.weights)
     return 1 + sum(cs.weights) * (cs.d - 1) - sum(d * g.count for d, g in zip(d_js, cs.directions))
 
 
@@ -48,17 +52,6 @@ def genus_general_fiber(cs: CombinatorialSummary) -> int:
     if value < 0:
         raise InternalCheckError(f"negative genus {value}")
     return value
-
-
-def infinity_singularity_mu(cs: CombinatorialSummary, j: int) -> int:
-    """Milnor number of the general fiber closure at the j-th point at infinity.
-
-    d_e(d_j - k_j) + d_j(k_j - 2) + 1 over the arrangement's own weights;
-    zero exactly at smooth points.
-    """
-    g = cs.directions[j]
-    d_j = cs.class_sums(cs.weights)[j]
-    return sum(cs.weights) * (d_j - g.count) + d_j * (g.count - 2) + 1
 
 
 @dataclass(frozen=True)
@@ -97,20 +90,26 @@ def invariant_report(cs: CombinatorialSummary) -> InvariantReport:
     check holds a summary to that).  The Kaliman comparison reports
     dicritics - 1 against sum over fibers of (component count - 1): the
     zero fiber has d components and every other fiber is irreducible, so
-    both sides equal d - 1.
+    both sides equal d - 1.  The general fiber closure has Milnor number
+    d_e(d_j - k_j) + d_j(k_j - 2) + 1 at the j-th point at infinity, over
+    the arrangement's own weights; it is zero exactly at smooth points.
     """
     mu = mu_arrangement(cs)
+    d_e = sum(cs.weights)
+    d_js = cs.class_sums(cs.weights)
     dicritics = sum(g.count for g in cs.directions)
     lhs, rhs = numbers_identity(cs)
     return InvariantReport(
         mu=mu,
         chi_complement=mu,
-        b1_fiber=betti1_general_fiber(cs),
+        b1_fiber=betti1_general_fiber(cs, d_js),
         genus=genus_general_fiber(cs) if cs.is_unweighted else None,
         dicritics=dicritics,
         b1_complement=cs.d,
         kaliman_lhs=dicritics - 1,
         kaliman_rhs=cs.d - 1,
         numbers_identity_holds=lhs == rhs,
-        infinity_mu=tuple(infinity_singularity_mu(cs, j) for j in range(cs.p)),
+        infinity_mu=tuple(
+            d_e * (d_j - g.count) + d_j * (g.count - 2) + 1 for g, d_j in zip(cs.directions, d_js)
+        ),
     )

@@ -26,7 +26,7 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from numbers import Rational
 
-from .arrangement import CombinatorialSummary, WeightedArrangement, compute_combinatorics
+from .arrangement import CombinatorialSummary
 from .errors import (
     BadMonodromy,
     BadResidues,
@@ -78,16 +78,6 @@ class LocalSystem:
         residues = tuple(r % order for r in residues)
         g = gcd(order, *residues)
         return cls(order // g, tuple(r // g for r in residues))
-
-    @classmethod
-    def equimonodromical(cls, order: int, d: int) -> "LocalSystem":
-        """All monodromies equal to exp(2*pi*i/order)."""
-        return cls.create(order, (1,) * d)
-
-    @property
-    def has_trivial(self) -> bool:
-        """True when some line's monodromy is 1 (residue 0, or order 1)."""
-        return self.order == 1 or any(r == 0 for r in self.residues)
 
     @property
     def residues_gcd(self) -> int:
@@ -231,18 +221,13 @@ def _double_point_sums(cs: CombinatorialSummary, residues) -> list[int]:
 
 
 def bound_from_summary(cs: CombinatorialSummary, ls: LocalSystem) -> BoundReport:
-    """Bound computation on a precomputed summary, with the residues as weights."""
-    return bound_spectrum(cs, ls.residues, (ls.order,))[0]
+    """Upper bound min(N0, NInfinity) on dim H^1 of the complement with coefficients `ls`.
 
-
-def h1_upper_bound(arr: WeightedArrangement, ls: LocalSystem) -> BoundReport:
-    """Upper bound min(N0, NInfinity) on dim H^1 of the complement.
-
-    The characteristic polynomials are built with weights equal to the
-    local-system residues; the arrangement's own weights play no role
-    here.  All monodromies must be nontrivial.
+    The characteristic polynomials are built with the local-system
+    residues as weights; the arrangement's own weights play no role here.
+    All monodromies must be nontrivial.
     """
-    return bound_from_summary(compute_combinatorics(arr), ls)
+    return bound_spectrum(cs, ls.residues, (ls.order,))[0]
 
 
 def delta_f(cs: CombinatorialSummary) -> CyclotomicExponents:

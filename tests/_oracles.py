@@ -6,7 +6,8 @@ product (the package expands (t^m - 1) factors and never builds them);
 arrangement combinatorics is redone from scratch over pairs of Fractions.
 Integer vertex keys, line triples and direction keys are read back as
 Fraction pairs, and written as text and COEF values by the rules over
-Fractions that the package's integer formatter must match.  The
+Fractions that the package's integer formatter must match; from these
+`summary_to_json` rebuilds the "combinatorics" object of `info`.  The
 per-order vertex and class sums read a summary and a local system by
 their attributes alone, one order at a time.
 """
@@ -272,6 +273,63 @@ def brute_combinatorics(lines, weights=None):
         "line_vertex_counts": [
             sum(1 for incident in points.values() if i in incident) for i in range(d)
         ],
+    }
+
+
+def document_lines(document):
+    """An arrangement document's lines as `brute_combinatorics` input, with their weights.
+
+    Each COEF (an int, "p" or "p/q", or {"re": RAT, "im": RAT}) becomes an
+    (re, im) Fraction pair; a missing weight "e" is 1.
+    """
+
+    def coef(value):
+        if isinstance(value, dict):
+            return (Fraction(value.get("re", 0)), Fraction(value.get("im", 0)))
+        return (Fraction(value), Fraction(0))
+
+    rows = document["lines"]
+    return [tuple(coef(row[k]) for k in "abc") for row in rows], [row.get("e", 1) for row in rows]
+
+
+def summary_to_json(lines, weights):
+    """The "combinatorics" object `info` writes, rebuilt from `brute_combinatorics`.
+
+    Direction classes and vertices, double points included, are listed in
+    lexicographic order of their exact coordinates: the canonical (a, b),
+    and the point (x, y), each part as (re, im).  Every number is written
+    by the Fraction rules of `gaussian_coef`.
+    """
+    brute = brute_combinatorics(lines, weights)
+
+    def coefs(pair):
+        return [gaussian_coef(*z) for z in pair]
+
+    return {
+        "d": brute["d"],
+        "dE": brute["d_e"],
+        "directions": [
+            {
+                "count": len(members),
+                "direction": coefs(direction),
+                "members": members,
+                "weightSum": brute["class_weights"][direction],
+            }
+            for direction, members in sorted(brute["class_members"].items())
+        ],
+        "histogram": {str(m): n for m, n in sorted(brute["histogram"].items())},
+        "lineVertexCounts": brute["line_vertex_counts"],
+        "p": brute["p"],
+        "vertices": [
+            {
+                "incident": incident,
+                "multiplicity": len(incident),
+                "point": coefs(point),
+                "weightSum": brute["vertex_weight_sums"][point],
+            }
+            for point, incident in sorted(brute["vertices"].items())
+        ],
+        "weights": list(weights),
     }
 
 

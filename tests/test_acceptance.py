@@ -20,20 +20,19 @@ from linemono import (
     RunConfig,
     TrivialMonodromy,
     WeightedArrangement,
-    betti1_general_fiber,
+    bound_from_summary,
     charpoly_infinity,
     charpoly_zero_closed,
     charpoly_zero_from_zeta,
     compute_combinatorics,
     delta_f,
-    draw_arrangement,
-    h1_upper_bound,
     invariant_report,
     parse_arrangement,
     run_census,
     zeta_at_zero,
 )
-from linemono.census import SplitMix64
+from linemono.census import SplitMix64, draw_arrangement
+from linemono.invariants import betti1_general_fiber
 
 from _oracles import (
     expand_factored,
@@ -90,7 +89,7 @@ def test_criterion_1_eight_line_example_reproduction():
     arr = arrangement(EIGHT_NORMAL_CROSSING)
     cs = compute_combinatorics(arr)
     assert cs.histogram == {2: 24}, "expected 24 double points and nothing else"
-    bound = h1_upper_bound(arr, LocalSystem.equimonodromical(3, 8))
+    bound = bound_from_summary(cs, LocalSystem.create(3, [1] * 8))
     assert bound.n0 == 0
     assert bound.n_infinity >= 1
     assert bound.n_infinity == 4
@@ -191,8 +190,8 @@ def test_criterion_7_both_bound_directions():
             break
     assert found_seed is not None, "no seed in 3 attempts produced both directions"
 
-    concurrent = arrangement(CONCURRENT_FOUR)
-    bound = h1_upper_bound(concurrent, LocalSystem.equimonodromical(3, 4))
+    concurrent = compute_combinatorics(arrangement(CONCURRENT_FOUR))
+    bound = bound_from_summary(concurrent, LocalSystem.create(3, [1] * 4))
     assert bound.n_infinity == 0
     assert bound.n0 == 1
     assert bound.n_infinity < bound.n0
@@ -213,7 +212,7 @@ def test_criterion_8_vertex_sum_agreement_on_census():
     for row in rows:
         arr = arrangements[row.index]
         cs = compute_combinatorics(arr)
-        ls = LocalSystem.equimonodromical(row.order, arr.d)
+        ls = LocalSystem.create(row.order, [1] * arr.d)
         assert vertex_mult_zero(cs, ls) == row.n0
         if sum(ls.residues) % ls.order != 0:
             assert vertex_mult_infinity(cs, ls) == row.n_infinity
@@ -243,7 +242,7 @@ def test_criterion_9_negative_controls():
         )
     triangle = arrangement(TRIANGLE)
     with pytest.raises(TrivialMonodromy):
-        h1_upper_bound(triangle, LocalSystem.create(3, [1, 2, 3]))
+        bound_from_summary(compute_combinatorics(triangle), LocalSystem.create(3, [1, 2, 3]))
     weighted = arrangement(WEIGHTED_TRIANGLE)
     cs = compute_combinatorics(weighted)
     assert vertex_mult_infinity(cs, LocalSystem.create(4, [1, 1, 2])) is None

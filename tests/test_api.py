@@ -1,19 +1,27 @@
-"""The public API: `linemono.__all__` against itself and against the README.
+"""The public API: `linemono.__all__` against itself, the namespace, the README and the demos.
 
 README.md lists the exports in its "Public API" section, and states how
 many there are; a name added to or dropped from `__all__` must be added
-to or dropped from that list, and the count changed with it.  The package
-computes in integers only, so no module of it imports `fractions` or
-`decimal`.
+to or dropped from that list, and the count changed with it.  The
+package namespace holds no other public name than its exports and its
+submodules, and the demos import only exports from it.  README's Library
+example runs as written, prints what its comments say, and computes the
+geometry once.  The package computes in integers only, so no module of
+it imports `fractions` or `decimal`.
 """
 
 import ast
+import io
 import re
+import types
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import linemono
+import linemono.arrangement
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 PACKAGE = Path(linemono.__file__).resolve().parent
 
 
@@ -42,6 +50,51 @@ def test_readme_states_the_export_count():
     text = README.read_text(encoding="utf-8")
     (count,) = re.findall(r"exports exactly these (\d+) names", text)
     assert int(count) == len(linemono.__all__)
+
+
+def test_namespace_holds_only_the_exports():
+    public = {
+        name
+        for name, value in vars(linemono).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public) == linemono.__all__
+
+
+def test_demos_import_only_exports():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    imported = [
+        (path.name, alias.name)
+        for path in demos
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "linemono"
+        for alias in node.names
+    ]
+    assert imported
+    assert [entry for entry in imported if entry[1] not in linemono.__all__] == []
+
+
+def test_readme_library_example_runs_as_written(monkeypatch):
+    """Each printed line is the example's comment, and the pair loop runs once."""
+    text = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", text, flags=re.DOTALL).group(1)
+    expected = [
+        line.rpartition("# ")[2] for line in code.splitlines() if line.startswith("print(")
+    ]
+    intersections = linemono.arrangement._intersections
+    calls = []
+
+    def counted(lines):
+        calls.append(len(lines))
+        return intersections(lines)
+
+    monkeypatch.setattr(linemono.arrangement, "_intersections", counted)
+    monkeypatch.chdir(ROOT)
+    with redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
+    assert calls == [4]
 
 
 def test_no_module_imports_fractions_or_decimal():

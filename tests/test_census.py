@@ -3,18 +3,16 @@
 import pytest
 
 from linemono import (
-    DIRECTIONS,
     Line,
     ParseError,
     RunConfig,
     battery_passed,
     compute_combinatorics,
-    draw_arrangement,
     run_battery,
     run_census,
     summarize,
 )
-from linemono.census import SplitMix64
+from linemono.census import DIRECTIONS, SplitMix64, draw_arrangement
 
 from _oracles import key_coefficients
 

@@ -19,10 +19,9 @@ from linemono import (
     IndexTooLarge,
     NegativeExponent,
     NotPolynomial,
-    gcd_factored,
 )
 from linemono.cli import main
-from linemono.factored import divisors
+from linemono.factored import divisors, gcd_factored
 
 from _oracles import (
     cyclotomic,

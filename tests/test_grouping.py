@@ -7,11 +7,13 @@ lines whose coefficients are Gaussian rationals with denominators up to
 and forced concurrent pencils, and with sympy on random small inputs.
 The weight sums over vertices and classes, and both characteristic
 polynomials, are also checked over a residue-like weight vector.
-A vertex keeps its integer key; the point `to_json` writes from it is
-checked against the Fraction construction from that key, and the
-grouping itself is checked to build no rational.
+A vertex keeps its integer key; the point `info` writes from it is
+checked against the Fraction construction from that key, `info`'s whole
+"combinatorics" object against the oracle's, and the grouping itself is
+checked to build no rational.
 """
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -30,9 +32,10 @@ from linemono import (
     charpoly_zero_closed,
     compute_combinatorics,
 )
+from linemono.cli import _vertex_rows
 
 from _oracles import (
-    brute_combinatorics, cadd, cmul, gaussian_coef, key_coefficients, key_point,
+    brute_combinatorics, cadd, cmul, gaussian_coef, key_coefficients, key_point, summary_to_json,
 )
 
 MAX_DENOMINATOR = 10**6
@@ -138,9 +141,14 @@ def _assert_sums_match_oracle(cs, oracle, weights):
     assert charpoly_infinity(cs, weights) == FactoredUnityPoly(infinity)
 
 
+def _info_rows(cs) -> list:
+    """The vertex rows `info` writes for `cs`, read back."""
+    return json.loads(_vertex_rows(cs, 0))
+
+
 def _assert_points_from_keys(cs):
-    """`to_json` writes each point as the Fraction rules write the point built from its key."""
-    assert [row["point"] for row in cs.to_json()["vertices"]] == [
+    """`info` writes each point as the Fraction rules write the point built from its key."""
+    assert [row["point"] for row in _info_rows(cs)] == [
         [gaussian_coef(*z) for z in key_point(key)] for key in cs.vertex_table[0]
     ]
 
@@ -172,14 +180,12 @@ class TestAgainstOracle:
         assert {
             key_coefficients(g.key): sorted(g.members) for g in cs.directions
         } == oracle["class_members"]
-        info = cs.to_json()
+        info = cs.json_without_vertices() | {"vertices": _info_rows(cs)}
+        assert info == summary_to_json(kept, arr.weights)
         keys = cs.vertex_table[0]
         assert {
             key_point(key): row["weightSum"] for key, row in zip(keys, info["vertices"])
         } == oracle["vertex_weight_sums"]
-        assert [row["point"] for row in info["vertices"]] == [
-            [gaussian_coef(*z) for z in key_point(key)] for key in keys
-        ]
         assert info["dE"] == oracle["d_e"]
 
     @given(gaussian_arrangements())
@@ -342,7 +348,7 @@ class TestPointOnDemand:
 
         with mock.patch.object(Fraction, "__new__", counting_new):
             cs = compute_combinatorics(arr)
-            assert cs.to_json()["vertices"][-1]["point"]
+            assert _info_rows(cs)[-1]["point"]
             assert built == []
             assert key_point(cs.keys[-1])
             assert len(built) == 4  # the patch does count

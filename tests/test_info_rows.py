@@ -1,9 +1,10 @@
-"""`info` writes its vertex rows straight from the columns: the bytes of `to_json`, in less memory.
+"""`info` writes its vertex rows straight from the columns, in less memory than dicts.
 
 `cli._vertex_rows` fills one row template per vertex from
-`cs.vertex_table`, where `CombinatorialSummary.to_json` builds a dict per
-vertex.  `info`'s stdout must still equal `json.dumps` of the report and
-`to_json`, byte for byte: on random Gaussian arrangements with weights,
+`cs.vertex_table`.  `info`'s stdout must equal `json.dumps` of the report
+and of `_oracles.summary_to_json`, which rebuilds the "combinatorics"
+object from the Fraction-pair oracle and shares no code with the
+package, byte for byte: on random Gaussian arrangements with weights,
 pencils and parallel classes, on every fixture and on the benchmark's
 seed-1 grid inputs.  `cli._indented` writes such a `partial` leaf as its
 own text, and the peak memory of `info` on generic lines stays below that
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from linemono import compute_combinatorics, invariant_report, parse_arrangement
 from linemono.cli import _indented, main
 
+from _oracles import document_lines, summary_to_json
 from test_grouping import _build, _gaussian, gaussian_arrangements
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +38,8 @@ FIXTURES = ROOT / "fixtures"
 
 def _expected(document: dict) -> str:
     cs = compute_combinatorics(parse_arrangement(document))
-    payload = invariant_report(cs).to_json() | {"combinatorics": cs.to_json()}
+    combinatorics = summary_to_json(*document_lines(document))
+    payload = invariant_report(cs).to_json() | {"combinatorics": combinatorics}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -46,7 +49,7 @@ def _info(path) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _assert_info_matches_to_json(document: dict, path: Path) -> str:
+def _assert_info_matches_oracle(document: dict, path: Path) -> str:
     path.write_text(json.dumps(document))
     code, out = _info(path)
     assert code == 0
@@ -96,10 +99,10 @@ class TestRowsAgainstToJson:
     @given(documents())
     @settings(max_examples=100, deadline=None)
     def test_random_arrangements(self, tmp_path_factory, document):
-        _assert_info_matches_to_json(document, tmp_path_factory.mktemp("info") / "doc.json")
+        _assert_info_matches_oracle(document, tmp_path_factory.mktemp("info") / "doc.json")
 
     def test_gaussian_pencil(self, tmp_path):
-        out = _assert_info_matches_to_json(GAUSSIAN_PENCIL, tmp_path / "doc.json")
+        out = _assert_info_matches_oracle(GAUSSIAN_PENCIL, tmp_path / "doc.json")
         points = [row["point"] for row in json.loads(out)["combinatorics"]["vertices"]]
         parts = [part for point in points for z in point if isinstance(z, dict) for part in z.values()]
         assert any(part.startswith("-") for part in parts) and any("/" in part for part in parts)
@@ -108,13 +111,13 @@ class TestRowsAgainstToJson:
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
     def test_fixtures(self, tmp_path, name):
         document = json.loads((FIXTURES / name).read_text())
-        _assert_info_matches_to_json(document, tmp_path / name)
+        _assert_info_matches_oracle(document, tmp_path / name)
 
     def test_grid_inputs_of_the_benchmark(self, tmp_path, monkeypatch):
         documents = _grid_documents(monkeypatch)
         assert len(documents) == 12
         for document in documents:
-            _assert_info_matches_to_json(document, tmp_path / "grid.json")
+            _assert_info_matches_oracle(document, tmp_path / "grid.json")
 
 
 def test_a_writer_leaf_writes_its_own_text_at_its_level():

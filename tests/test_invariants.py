@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from linemono import (
     WeightedArrangement,
     WeightedNotSupported,
-    betti1_general_fiber,
     compute_combinatorics,
-    genus_general_fiber,
-    infinity_singularity_mu,
     invariant_report,
-    mu_arrangement,
 )
+from linemono.invariants import betti1_general_fiber, genus_general_fiber, mu_arrangement
 
 from _oracles import key_coefficients
 from test_arrangement import arrangement_specs, build_arrangement
@@ -100,22 +97,21 @@ class TestGenus:
 class TestInfinityMu:
     def test_smooth_point_for_singleton_class(self, triangle):
         cs = compute_combinatorics(triangle)
-        assert [infinity_singularity_mu(cs, j) for j in range(cs.p)] == [0, 0, 0]
+        assert invariant_report(cs).infinity_mu == (0, 0, 0)
 
     def test_eight_line_all_nodes_at_infinity(self, eight_normal_crossing):
         cs = compute_combinatorics(eight_normal_crossing)
         # k_j = 2, d_j = 2, d_e = 8: 8*0 + 2*0 + 1 = (k_j - 1)^2
-        assert [infinity_singularity_mu(cs, j) for j in range(cs.p)] == [1, 1, 1, 1]
+        assert invariant_report(cs).infinity_mu == (1, 1, 1, 1)
 
     def test_weighted_triangle_weight_two_direction(self, weighted_triangle):
         cs = compute_combinatorics(weighted_triangle)
+        infinity_mu = invariant_report(cs).infinity_mu
         values = {
-            key_coefficients(cs.directions[j].key): infinity_singularity_mu(cs, j)
-            for j in range(cs.p)
+            key_coefficients(g.key): mu for g, mu in zip(cs.directions, infinity_mu)
         }
         by_weight = {
-            sum(cs.weights[i] for i in g.members): infinity_singularity_mu(cs, j)
-            for j, g in enumerate(cs.directions)
+            sum(cs.weights[i] for i in g.members): mu for g, mu in zip(cs.directions, infinity_mu)
         }
         # the weight-2 line alone in its class: 4*1 + 2*(-1) + 1 = 3
         assert by_weight[2] == 3

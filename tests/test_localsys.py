@@ -20,8 +20,8 @@ from linemono import (
     charpoly_zero_closed,
     compute_combinatorics,
     delta_f,
-    h1_upper_bound,
 )
+from linemono.invariants import betti1_general_fiber
 from _oracles import vertex_mult_infinity, vertex_mult_zero
 from test_arrangement import arrangement_specs, build_arrangement
 
@@ -121,7 +121,7 @@ class TestTypedErrors:
 class TestVertexMultZero:
     def test_eight_line_order_three(self, eight_normal_crossing):
         cs = compute_combinatorics(eight_normal_crossing)
-        assert vertex_mult_zero(cs, LocalSystem.equimonodromical(3, 8)) == 0
+        assert vertex_mult_zero(cs, LocalSystem.create(3, [1] * 8)) == 0
 
     def test_weighted_triangle_order_four(self, weighted_triangle):
         cs = compute_combinatorics(weighted_triangle)
@@ -132,7 +132,7 @@ class TestVertexMultZero:
     def test_concurrent_triple_point(self):
         arr = build_arrangement([(0, 0), (1, 0), (2, 0)])  # x, y, x+y through origin
         cs = compute_combinatorics(arr)
-        assert vertex_mult_zero(cs, LocalSystem.equimonodromical(3, 3)) == 1
+        assert vertex_mult_zero(cs, LocalSystem.create(3, [1] * 3)) == 1
 
     def test_trivial_rejected(self, triangle):
         cs = compute_combinatorics(triangle)
@@ -142,19 +142,19 @@ class TestVertexMultZero:
     def test_length_mismatch(self, triangle):
         cs = compute_combinatorics(triangle)
         with pytest.raises(LengthMismatch):
-            bound_from_summary(cs, LocalSystem.equimonodromical(3, 4))
+            bound_from_summary(cs, LocalSystem.create(3, [1] * 4))
 
 
 class TestVertexMultInfinity:
     def test_eight_line_order_three(self, eight_normal_crossing):
         cs = compute_combinatorics(eight_normal_crossing)
         # d_e = 8, d_e - d_j = 6 for all four directions, each k_j - 1 = 1
-        assert vertex_mult_infinity(cs, LocalSystem.equimonodromical(3, 8)) == 4
+        assert vertex_mult_infinity(cs, LocalSystem.create(3, [1] * 8)) == 4
 
     def test_triangle_order_two(self, triangle):
         cs = compute_combinatorics(triangle)
         # 2 | 3 - 1 for every direction but every k_j - 1 = 0
-        assert vertex_mult_infinity(cs, LocalSystem.equimonodromical(2, 3)) == 0
+        assert vertex_mult_infinity(cs, LocalSystem.create(2, [1] * 3)) == 0
 
     def test_order_dividing_total_weight(self, weighted_triangle):
         cs = compute_combinatorics(weighted_triangle)
@@ -164,9 +164,8 @@ class TestVertexMultInfinity:
 
 class TestUpperBound:
     def test_eight_line_order_three(self, eight_normal_crossing):
-        report = h1_upper_bound(
-            eight_normal_crossing, LocalSystem.equimonodromical(3, 8)
-        )
+        cs = compute_combinatorics(eight_normal_crossing)
+        report = bound_from_summary(cs, LocalSystem.create(3, [1] * 8))
         assert report.n0 == 0
         assert report.n_infinity == 4
         assert report.bound == 0
@@ -178,33 +177,35 @@ class TestUpperBound:
 
     def test_weighted_residues_order_four(self, triangle):
         # bound uses the residues as weights, whatever the file weights are
-        report = h1_upper_bound(triangle, LocalSystem.create(4, [1, 1, 2]))
+        cs = compute_combinatorics(triangle)
+        report = bound_from_summary(cs, LocalSystem.create(4, [1, 1, 2]))
         assert report.n0 == 0
         assert report.n_infinity == 1  # the (t^4 - 1) factor
         assert report.bound == 0
         assert report.vertex_sum_infinity is None  # 4 divides d_e = 4
 
     def test_concurrent_four_order_three(self, concurrent_four):
-        report = h1_upper_bound(concurrent_four, LocalSystem.equimonodromical(3, 4))
+        cs = compute_combinatorics(concurrent_four)
+        report = bound_from_summary(cs, LocalSystem.create(3, [1] * 4))
         assert report.n0 == 1
         assert report.n_infinity == 0
         assert report.bound == 0
         assert not report.normal_crossing_shortcut
 
     def test_trivial_monodromy_rejected(self, triangle):
+        cs = compute_combinatorics(triangle)
         with pytest.raises(TrivialMonodromy):
-            h1_upper_bound(triangle, LocalSystem.create(3, [1, 1, 3]))
+            bound_from_summary(cs, LocalSystem.create(3, [1, 1, 3]))
         with pytest.raises(TrivialMonodromy):
-            h1_upper_bound(triangle, LocalSystem.create(1, [0, 0, 0]))
+            bound_from_summary(cs, LocalSystem.create(1, [0, 0, 0]))
 
     def test_length_mismatch_rejected(self, triangle):
         with pytest.raises(LengthMismatch):
-            h1_upper_bound(triangle, LocalSystem.equimonodromical(3, 5))
+            bound_from_summary(compute_combinatorics(triangle), LocalSystem.create(3, [1] * 5))
 
     def test_json_shape(self, eight_normal_crossing):
-        payload = h1_upper_bound(
-            eight_normal_crossing, LocalSystem.equimonodromical(3, 8)
-        ).to_json()
+        cs = compute_combinatorics(eight_normal_crossing)
+        payload = bound_from_summary(cs, LocalSystem.create(3, [1] * 8)).to_json()
         assert payload == {
             "N0": 0,
             "NInfinity": 4,
@@ -248,7 +249,7 @@ class TestAgreementProperties:
         if any(r == 0 for r in residues):
             residues = [max(r, 1) for r in residues]
         ls = LocalSystem.create(order, residues)
-        if ls.has_trivial:
+        if 0 in ls.residues:
             return
         cs = compute_combinatorics(arr)
         assert vertex_mult_zero(cs, ls) == charpoly_zero_closed(
@@ -283,11 +284,9 @@ class TestAgreementProperties:
     def test_bound_sanity(self, specs, order):
         arr = build_arrangement(specs)
         cs = compute_combinatorics(arr)
-        report = h1_upper_bound(arr, LocalSystem.equimonodromical(order, arr.d))
+        report = bound_from_summary(cs, LocalSystem.create(order, [1] * cs.d))
         assert report.bound == min(report.n0, report.n_infinity)
         assert report.bound <= charpoly_zero_closed(cs).degree()
-        from linemono import betti1_general_fiber
-
         assert report.bound <= betti1_general_fiber(cs)
         if report.normal_crossing_shortcut:
             assert report.n0 == 0

@@ -13,17 +13,17 @@ from linemono import (
     CombinatorialSummary,
     FactoredUnityPoly,
     LengthMismatch,
-    betti1_general_fiber,
     charpoly_infinity,
     charpoly_zero_closed,
     charpoly_zero_from_zeta,
     compute_combinatorics,
-    infinity_singularity_mu,
+    invariant_report,
     local_zeta,
     parse_arrangement,
     strata,
     zeta_at_zero,
 )
+from linemono.invariants import betti1_general_fiber
 from linemono.monodromy import StratumDescriptor
 
 from _oracles import brute_combinatorics, expand_factored, root_multiplicity
@@ -66,9 +66,10 @@ class TestCharpolyInfinity:
         assert charpoly_infinity(cs).factors == {1: 1, 8: 2, 6: 4}
         charpoly_infinity(cs, [1, 2] * 4)
         assert betti1_general_fiber(cs) == 41
-        assert [infinity_singularity_mu(cs, j) for j in range(cs.p)] == [1] * 4
+        report = invariant_report(cs)
+        assert (report.b1_fiber, report.infinity_mu) == (41, (1,) * 4)
         assert calls[:2] == [cs.weights, (1, 2) * 4]
-        assert len(calls) == 2 + 1 + cs.p
+        assert len(calls) == 2 + 1 + 1  # one call for the whole report
 
 
 class TestCharpolyZero:
