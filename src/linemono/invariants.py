@@ -32,13 +32,9 @@ def numbers_identity(cs: CombinatorialSummary) -> tuple[int, int]:
     return vertex_side, direction_side
 
 
-def betti1_general_fiber(cs: CombinatorialSummary, d_js=None) -> int:
-    """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j, over the arrangement's weights.
-
-    `d_js` is `cs.class_sums(cs.weights)`, passed by a caller that has it.
-    """
-    if d_js is None:
-        d_js = cs.class_sums(cs.weights)
+def betti1_general_fiber(cs: CombinatorialSummary) -> int:
+    """b_1 of the general fiber: 1 + d_e(d - 1) - sum_j d_j k_j, over the arrangement's weights."""
+    d_js = cs.class_sums(cs.weights)
     return 1 + sum(cs.weights) * (cs.d - 1) - sum(d * g.count for d, g in zip(d_js, cs.directions))
 
 
@@ -102,7 +98,7 @@ def invariant_report(cs: CombinatorialSummary) -> InvariantReport:
     return InvariantReport(
         mu=mu,
         chi_complement=mu,
-        b1_fiber=betti1_general_fiber(cs, d_js),
+        b1_fiber=betti1_general_fiber(cs),
         genus=genus_general_fiber(cs) if cs.is_unweighted else None,
         dicritics=dicritics,
         b1_complement=cs.d,

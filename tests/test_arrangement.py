@@ -19,7 +19,6 @@ from linemono import (
     parse_arrangement,
 )
 from linemono.arrangement import LINE_LIMIT
-from linemono.cli import _vertex_rows
 from linemono.errors import TooManyLines
 
 from _oracles import (
@@ -241,8 +240,6 @@ class TestCombinatorics:
         assert sorted(sums) == [2, 3, 3]
         assert cs.vertex_sums(cs.weights, incidences) == sums
         assert cs.json_without_vertices()["dE"] == 4
-        rows = json.loads(_vertex_rows(cs, 0))
-        assert sorted(v["weightSum"] for v in rows) == [2, 3, 3]
 
     def test_complex_coefficients(self):
         # x + iy, x - iy, x - 1/2, y + 2i: three direction classes,

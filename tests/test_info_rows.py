@@ -7,8 +7,8 @@ object from the Fraction-pair oracle and shares no code with the
 package, byte for byte: on random Gaussian arrangements with weights,
 pencils and parallel classes, on every fixture and on the benchmark's
 seed-1 grid inputs.  `cli._indented` writes such a `partial` leaf as its
-own text, and the peak memory of `info` on generic lines stays below that
-of a dict per vertex.
+own text, the rows build no `Fraction`, and the peak memory of `info` on
+generic lines stays below that of a dict per vertex.
 """
 
 import importlib.util
@@ -18,16 +18,18 @@ import os
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
 from functools import partial
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linemono import compute_combinatorics, invariant_report, parse_arrangement
-from linemono.cli import _indented, main
+from linemono.cli import _indented, _vertex_rows, main
 
 from _oracles import document_lines, summary_to_json
 from test_grouping import _build, _gaussian, gaussian_arrangements
@@ -150,3 +152,32 @@ def test_peak_memory_of_info_on_generic_lines(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert peak < 1.25 * 5.1 * 2**20
+
+
+def test_rows_build_no_fraction():
+    """Each point is written from its integer key: no `Fraction` is built for a row.
+
+    The input is a 40-line 4-direction grid; every fourth offset is a
+    Gaussian rational.
+    """
+    offsets = [k if k % 4 else {"re": f"{k}/3", "im": "1/7"} for k in range(10)]
+    document = {
+        "lines": [
+            {"a": a, "b": b, "c": c} for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)) for c in offsets
+        ]
+    }
+    cs = compute_combinatorics(parse_arrangement(document))
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", counting_new):
+        rows = json.loads(_vertex_rows(cs, 0))
+        assert built == []
+        assert Fraction(1, 3)
+        assert len(built) == 1  # the patch does count
+    assert len(rows) > 300
+    assert any(isinstance(z, dict) for row in rows for z in row["point"])

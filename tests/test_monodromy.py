@@ -69,7 +69,7 @@ class TestCharpolyInfinity:
         report = invariant_report(cs)
         assert (report.b1_fiber, report.infinity_mu) == (41, (1,) * 4)
         assert calls[:2] == [cs.weights, (1, 2) * 4]
-        assert len(calls) == 2 + 1 + 1  # one call for the whole report
+        assert len(calls) == 2 + 1 + 2  # b_1 and infinity_mu, not one per class
 
 
 class TestCharpolyZero:
