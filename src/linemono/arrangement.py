@@ -12,8 +12,9 @@ kept, as three parallel columns in vertex order (integer keys, incident
 line sets, multiplicities); the double points are only counted.  Every
 vertex, for `info` and the strata, comes from the summary's
 `vertex_table`, built from the same pair loop.  The geometry carries no
-weights: `CombinatorialSummary.vertex_sums` and `class_sums` sum a weight
-vector (the arrangement's own, or local-system residues) into d(I_v) and d_j.
+weights: `CombinatorialSummary.vertex_sums`, `class_sums` and
+`double_point_sums` sum a weight vector (the arrangement's own, or
+local-system residues) into d(I_v), d_j and the double points' e_i + e_j.
 No epsilon appears anywhere; coincidence of intersection points is exact.
 
 A line is kept as its triple (Re A, Im A, Re B, Im B, Re C, Im C): the
@@ -56,7 +57,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from .errors import (
@@ -87,23 +88,25 @@ class Line:
     """a*x + b*y + c = 0, kept as its primitive triple (module docstring).
 
     Only a canonical triple is accepted; `Line.canonical` builds the line
-    from any coefficients.  The `direction_key` is derived from the
-    triple when first read.
+    from any coefficients.  The `direction_key` is set from the triple by
+    the check that accepts it, and is not a constructor argument.
     """
 
     triple: tuple[int, int, int, int, int, int]
+    direction_key: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = self.triple
         if not (
             type(t) is tuple and len(t) == 6 and all(type(k) is int for k in t)
             and t[1] == 0 and (t[0] > 0 or t[0] == 0 and t[2] > 0 and t[3] == 0)
-            and gcd(*t) == 1
+            and gcd(g := gcd(*t[:4]), t[4], t[5]) == 1
         ):
             raise ParseError(
                 "not a canonical line triple (six integers with gcd 1 whose lead,"
                 " A or else B, is real and positive); use Line.canonical"
             )
+        object.__setattr__(self, "direction_key", tuple(k // g for k in t[:4]))
 
     @classmethod
     def canonical(cls, a, b, c) -> "Line":
@@ -128,11 +131,6 @@ class Line:
         )
         g = gcd(*triple)
         return cls(tuple(k // g for k in triple))
-
-    @cached_property
-    def direction_key(self) -> tuple[int, int, int, int]:
-        g = gcd(*self.triple[:4])
-        return tuple(k // g for k in self.triple[:4])
 
     def coeff_string(self) -> str:
         return ",".join(_over_lead(self.triple, gaussian_text))
@@ -350,6 +348,33 @@ class CombinatorialSummary:
     def class_sums(self, weights) -> list[int]:
         """d_j for each direction class, in class order: `weights` summed over its members."""
         return [sum(map(weights.__getitem__, g.members)) for g in self.directions]
+
+    def double_point_sums(self, weights) -> list[int]:
+        """The weight sums d(I_v) = e_i + e_j that occur at some double point.
+
+        A double point is a pair of lines from distinct classes that no
+        multiple point holds: count the pairs of all lines by their sum, from
+        a tally of the weights, less the pairs inside each class, from its
+        own tally, and inside each multiple point.  No pair of the loop's
+        `_points` is read, so the cost does not grow with n_2.
+        """
+        sums: dict[int, int] = {}
+
+        def add_pairs(values, sign: int) -> None:
+            tally: dict[int, int] = {}
+            for e in values:
+                tally[e] = tally.get(e, 0) + 1
+            for (a, x), (b, y) in combinations_with_replacement(tally.items(), 2):
+                sums[a + b] = sums.get(a + b, 0) + sign * (x * (x - 1) // 2 if a == b else x * y)
+
+        add_pairs(weights, 1)
+        for g in self.directions:
+            if g.count > 1:  # a class of one line holds no pair
+                add_pairs([weights[i] for i in g.members], -1)
+        for incident in self.incidences:
+            for i, j in combinations(incident, 2):
+                sums[weights[i] + weights[j]] -= 1
+        return [s for s, count in sums.items() if count > 0]
 
     def json_without_vertices(self) -> dict:
         """`info`'s "combinatorics" but its "vertices", which `cli._vertex_rows` writes."""

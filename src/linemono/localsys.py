@@ -22,7 +22,6 @@ single bound is its one-order case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from numbers import Rational
 
@@ -154,7 +153,8 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
     and TrivialMonodromy when an order divides some residue, all before
     either polynomial is built.  The two characteristic polynomials and
     the residue sums of the multiple points, the double points and the
-    classes are built once; each order is then a few divisibility sums.
+    classes (the summary's `vertex_sums`, `double_point_sums` and
+    `class_sums`) are built once; each order is then a few divisibility sums.
     """
     if len(residues) != cs.d:
         raise LengthMismatch(f"{cs.d} lines but {len(residues)} residues")
@@ -169,7 +169,7 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
     infinity = charpoly_infinity(cs, residues)
     d_e = sum(residues)
     vertices = [(d_v, m - 2) for m, d_v in zip(cs.multiplicities, cs.vertex_sums(residues))]
-    doubles = _double_point_sums(cs, residues)
+    doubles = cs.double_point_sums(residues)
     classes = [(d_e - d_j, g.count - 1) for g, d_j in zip(cs.directions, cs.class_sums(residues))]
     reports = []
     for n in orders:
@@ -191,33 +191,6 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
                 )
         reports.append(BoundReport(n, n0, n_inf, min(n0, n_inf), vsz, vsi, shortcut))
     return reports
-
-
-def _double_point_sums(cs: CombinatorialSummary, residues) -> list[int]:
-    """The residue sums d(I_v) = e_i + e_j that occur at some double point.
-
-    A double point is a pair of lines from distinct classes that no
-    multiple point holds: count the pairs of all lines by their sum, from
-    a tally of the residues, less the pairs inside each class, from its
-    own tally, and inside each multiple point.
-    """
-    sums: dict[int, int] = {}
-
-    def add_pairs(values, sign: int) -> None:
-        tally: dict[int, int] = {}
-        for e in values:
-            tally[e] = tally.get(e, 0) + 1
-        for (a, x), (b, y) in combinations_with_replacement(tally.items(), 2):
-            sums[a + b] = sums.get(a + b, 0) + sign * (x * (x - 1) // 2 if a == b else x * y)
-
-    add_pairs(residues, 1)
-    for g in cs.directions:
-        if g.count > 1:  # a class of one line holds no pair
-            add_pairs([residues[i] for i in g.members], -1)
-    for incident in cs.incidences:
-        for i, j in combinations(incident, 2):
-            sums[residues[i] + residues[j]] -= 1
-    return [s for s, count in sums.items() if count > 0]
 
 
 def bound_from_summary(cs: CombinatorialSummary, ls: LocalSystem) -> BoundReport:

@@ -7,7 +7,8 @@ package namespace holds no other public name than its exports and its
 submodules, and the demos import only exports from it.  README's Library
 example runs as written, prints what its comments say, and computes the
 geometry once.  The package computes in integers only, so no module of
-it imports `fractions` or `decimal`.
+it imports `fractions` or `decimal`.  A fact is set once by its owner, so
+the one attribute derived lazily is the summary's `vertex_table`.
 """
 
 import ast
@@ -115,3 +116,28 @@ def test_no_module_imports_fractions_or_decimal():
                 if name.partition(".")[0] in ("fractions", "decimal")
             ]
     assert found == []
+
+
+def _names_cached_property(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "cached_property") or (
+        isinstance(node, ast.Attribute) and node.attr == "cached_property"
+    )
+
+
+def test_cached_property_only_on_the_vertex_table():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef):
+                    for decorator in filter(_names_cached_property, method.decorator_list):
+                        decorators.add(decorator)
+                        found.append(f"{cls.name}.{method.name}")
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _names_cached_property(node) and node not in decorators
+        ]
+    assert found == ["CombinatorialSummary.vertex_table"]

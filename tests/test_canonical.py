@@ -13,6 +13,8 @@ other than +-1, negative scales, non-real scales and a = 0, through
 a shorter route in `Line.canonical`, checked against the rational one.
 """
 
+import dataclasses
+import inspect
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -111,8 +113,23 @@ class TestCanonicalForm:
         assert line.triple[unit] > 0
         assert all(k == q * line.triple[unit] for k, q in zip(line.triple, parts))
         g = gcd(*line.triple[:4])
-        assert line.direction_key == tuple(k // g for k in line.triple[:4])
+        key = tuple(k // g for k in line.triple[:4])
+        assert line.direction_key == key
         assert gcd(*line.direction_key) == 1 and line.direction_key[unit] > 0
+        # Set by the check that accepts the triple, on every route to a Line.
+        direct = Line(line.triple)
+        replaced = dataclasses.replace(Line((1, 0, 1, 0, 0, 0)), triple=line.triple)
+        for same in (direct, replaced):
+            assert same.direction_key == key
+            assert same == line and hash(same) == hash(line)
+        # Not a constructor argument.
+        assert "direction_key" not in inspect.signature(Line).parameters
+        with pytest.raises(TypeError):
+            Line(line.triple, key)
+        with pytest.raises(TypeError):
+            Line(triple=line.triple, direction_key=key)
+        with pytest.raises(ValueError):
+            dataclasses.replace(line, direction_key=key)
         # The parser's integer route gives the same triple.
         entry = dict(zip("abc", (coefficient(data.draw, z) for z in raw)))
         assert parsed_triple(entry, canon) == oracle_triple(canon)

@@ -5,8 +5,10 @@ number n_2 of double points; the histogram and the per-line vertex
 counts still cover every vertex, derived from the multiple points and
 the direction classes.  A double point's factor (t^{d(I_v)} - 1)^0 adds
 nothing to a formula, but it still decides `normalCrossingShortcut`:
-`bound_spectrum` counts the double points whose residue sum the order
-divides from per-class residue tallies.  These tests hold all of it to
+`CombinatorialSummary.double_point_sums` finds the residue sums that
+occur at a double point from tallies of the residues over all lines,
+each class and each multiple point, and `bound_spectrum` asks which of
+them the order divides.  These tests hold all of it to
 `_oracles.brute_combinatorics`, which intersects every pair of lines in
 Fraction arithmetic and keeps every vertex, on pencils, parallel
 classes, Gaussian offsets and arrangements with no multiple point.
@@ -79,6 +81,24 @@ class TestCountsAgainstOracle:
         assert cs.double_points == cs.d * (cs.d - 1) // 2 == len(oracle["vertices"])
         assert cs.histogram == {2: cs.double_points}
         assert cs.line_vertex_counts == (cs.d - 1,) * cs.d
+
+
+class TestDoublePointSums:
+    @given(arrangements, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_sums_over_the_oracle_double_points(self, built, data):
+        assume(built is not None)
+        arr, oracle = built
+        cs = compute_combinatorics(arr)
+        residues = data.draw(st.lists(st.integers(1, 7), min_size=cs.d, max_size=cs.d))
+        sums = cs.double_point_sums(residues)
+        expected = {
+            sum(residues[i] for i in lines)
+            for lines in oracle["vertices"].values()
+            if len(lines) == 2
+        }
+        assert len(sums) == len(set(sums))
+        assert set(sums) == expected
 
 
 def _all_vertex_report(oracle, residues, order):
