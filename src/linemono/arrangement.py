@@ -54,6 +54,8 @@ the interpreter's digit limit (4300 by default) are rejected outright.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,6 +67,7 @@ from .errors import (
     BadWeight,
     DuplicateLine,
     FileError,
+    FileTooLarge,
     LengthMismatch,
     NotEssential,
     ParseError,
@@ -75,6 +78,10 @@ from .exact import gaussian_json, gaussian_text, parse_coefficient
 # The d(d-1)/2 pairs of lines cost time and memory alike; README.md gives
 # the cost at the limit.
 LINE_LIMIT = 500
+# A file is read only this far, so that refusing one costs no more than
+# this: above the largest valid document, LINE_LIMIT lines of 13 integers
+# of 4300 digits each (about 28 million characters).
+FILE_LIMIT = 2**25
 
 
 def _over_lead(key, form) -> list:
@@ -251,11 +258,18 @@ def parse_arrangement(document: str | bytes | dict) -> WeightedArrangement:
 def load_arrangement(path) -> WeightedArrangement:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            # A regular file of at most FILE_LIMIT bytes is read whole, on the
+            # interpreter's fast path; any other, a pipe included, only one
+            # character past the limit.
+            info = os.fstat(handle.fileno())
+            whole = stat.S_ISREG(info.st_mode) and info.st_size <= FILE_LIMIT
+            text = handle.read(-1 if whole else FILE_LIMIT + 1)
     except UnicodeDecodeError as exc:
         raise ParseError(f"file is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise FileError(str(exc)) from exc
+    if len(text) > FILE_LIMIT:
+        raise FileTooLarge(f"file has more than FILE_LIMIT = {FILE_LIMIT} characters")
     return parse_arrangement(text)
 
 

@@ -17,7 +17,12 @@ identical output on every platform:
 For every accepted arrangement the verification battery must pass, and
 for each order N in 2..max_order the local system with monodromy
 exp(2*pi*i/N) on every line yields one census row recording which side
-of the bound is tighter.
+of the bound is tighter.  Those residues are the draw's own weights, so
+one pair of characteristic polynomials per draw, about zero and at
+infinity, serves the battery and every order's bound.  The rows of a
+draw share its fixed fields (d, digest, histogram, index, p, seed); the
+command line encodes them once per draw and each order's row fills in
+the rest.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from functools import cache
 from typing import Iterable, Iterator
 
 from .arrangement import Line, WeightedArrangement, compute_combinatorics
-from .checks import battery_passed, run_battery
+from .checks import _battery, battery_passed
 from .errors import DuplicateLine, InternalCheckError, NotEssential, ParseError
-from .localsys import bound_spectrum
+from .localsys import _spectrum
+from .monodromy import charpoly_infinity, charpoly_zero_closed
 
 _MASK64 = (1 << 64) - 1
 
@@ -143,15 +149,18 @@ class CensusRow:
 def run_census(config: RunConfig) -> Iterator[CensusRow]:
     """Yield rows in draw order; raises InternalCheckError on any identity failure."""
     rng = SplitMix64(config.seed)
+    orders = range(2, config.max_order + 1)
     for index in range(config.count):
         arr = draw_arrangement(rng, config.max_lines)
         cs = compute_combinatorics(arr)
-        results = run_battery(cs)
+        # the arrangement's own weights, all 1, are the residues of every order's local system
+        zero, infinity = charpoly_zero_closed(cs), charpoly_infinity(cs)
+        results = _battery(cs, zero, lambda: infinity)
         if not battery_passed(results):
             failed = [r.name for r in results if not r.passed]
             raise InternalCheckError(f"draw {index} failed checks: {failed}")
         digest = tuple(map(_digest_text, arr.lines))
-        for report in bound_spectrum(cs, (1,) * cs.d, range(2, config.max_order + 1)):
+        for report in _spectrum(cs, cs.weights, orders, lambda: (zero, infinity)):
             if report.n0 < report.n_infinity:
                 tighter = "zero"
             elif report.n_infinity < report.n0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .arrangement import CombinatorialSummary
 from .errors import InputError, InternalCheckError
@@ -52,6 +53,15 @@ def _check(name: str, passed: bool, detail: Callable[[], str]) -> CheckResult:
 
 def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
     """Run every identity check on the summary; a doctored one provokes failures."""
+    return _battery(cs, charpoly_zero_closed(cs), partial(charpoly_infinity, cs))
+
+
+def _battery(cs: CombinatorialSummary, d_zero, infinity: Callable) -> list[CheckResult]:
+    """`run_battery` given the polynomial about zero, and `infinity()` building the other.
+
+    A failure of `infinity()` is the check "charpoly-computable".  The census
+    passes the pair it also reads its bounds from.
+    """
     results: list[CheckResult] = []
 
     incidence = sum(cs.multiplicities) + 2 * cs.double_points
@@ -76,9 +86,8 @@ def run_battery(cs: CombinatorialSummary) -> list[CheckResult]:
         )
     )
 
-    d_zero = charpoly_zero_closed(cs)
     try:
-        d_inf = charpoly_infinity(cs)
+        d_inf = infinity()
         b1 = betti1_general_fiber(cs)
         results.append(
             _check(

@@ -9,7 +9,8 @@ one emitter, `_emit`, whose bytes equal those of
 `json.dumps(payload, sort_keys=True, indent=2)`.  `info`'s vertex rows,
 the one output that grows with the number of vertices, are written
 inside it by `_vertex_rows`, straight from the summary's columns with one
-row template.  Exit codes:
+row template.  `census` writes its rows as JSON lines by `_emit_row`,
+from one template per draw (`_row_template`).  Exit codes:
 0 success (and --help), 1 invalid input, usage errors included (with a
 machine-readable error object), 2 internal invariant violation or a
 failed `verify` check, and EXIT_CLOSED_STDOUT when stdout is closed
@@ -27,7 +28,7 @@ from functools import cache, partial
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from .arrangement import CombinatorialSummary, compute_combinatorics, load_arrangement
-from .census import RunConfig, run_census, summarize
+from .census import CensusRow, RunConfig, run_census, summarize
 from .checks import battery_passed, run_battery
 from .errors import FileError, InputError, InternalCheckError, NumberTooLong, ParseError
 from .exact import rational_text
@@ -119,8 +120,23 @@ def _emit(payload: dict) -> None:
     print("".join(out))
 
 
-def _emit_row(payload: dict, stream) -> None:
-    stream.write("".join(_encoder(",", ":")(payload, 0)) + "\n")
+def _row_template(row: CensusRow) -> str:
+    """The %-template of the rows of `row`'s draw, with the fields fixed for the draw encoded.
+
+    A filled row's bytes equal `json.dumps(row.to_json(), sort_keys=True,
+    separators=(",", ":"))`.
+    """
+    encode = _encoder(",", ":")
+    histogram = {str(m): n for m, n in row.histogram.items()}  # sorted as text, as to_json's are
+    fixed = {"d": row.d, "digest": row.digest, "histogram": histogram, "index": row.index}
+    head = "".join(encode(fixed, 0))[1:-1]  # digits, signs, commas and slashes: no "%"
+    tail = "".join(encode({"p": row.p, "seed": row.seed}, 0))[1:-1]
+    return f'{{"N0":%d,"NInfinity":%d,"bound":%d,{head},"order":%d,{tail},"tighter":"%s"}}\n'
+
+
+def _emit_row(template: str, row: CensusRow, stream) -> None:
+    """Write one census row as a JSON line, through its draw's `_row_template`."""
+    stream.write(template % (row.n0, row.n_infinity, row.bound, row.order, row.tighter))
 
 
 def _vertex_rows(cs: CombinatorialSummary, level: int) -> str:
@@ -210,7 +226,9 @@ def cmd_census(seed: int, count: int, max_lines: int, max_order: int, out: str |
     def written(stream):
         chunk = io.StringIO()
         for row in run_census(config):
-            _emit_row(row.to_json(), chunk)
+            if row.order == 2:  # a draw's first row
+                template = _row_template(row)
+            _emit_row(template, row, chunk)
             if row.order == config.max_order:  # an arrangement's rows go out in one write
                 stream.write(chunk.getvalue())
                 chunk = io.StringIO()

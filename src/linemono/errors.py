@@ -28,6 +28,10 @@ class NumberTooLong(InputError):
     """A number to be written out has more digits than the interpreter's limit."""
 
 
+class FileTooLarge(InputError):
+    """An input file has more than FILE_LIMIT characters, so it is not read to its end."""
+
+
 class TooManyLines(InputError):
     """An arrangement has more than LINE_LIMIT lines, so its pairs are not intersected."""
 

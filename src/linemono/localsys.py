@@ -15,8 +15,10 @@ at infinity when N divides the total weight, where the vertex sum does not
 capture the (t^{d_e} - 1)^{p-2} contribution and is reported as
 unavailable instead.  `bound_spectrum` serves many orders with the same
 residues from one pair of polynomials and one pass over the vertices and
-classes (the census uses it once per draw), after refusing bad input; a
-single bound is its one-order case.
+classes, after refusing bad input; a single bound is its one-order case.
+A census draw's residues are its own weights, all 1, so the census reads
+its spectrum, refusals and cross-checks included, from the one pair of
+polynomials its battery has checked: two builds per draw, not four.
 """
 
 from __future__ import annotations
@@ -156,6 +158,17 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
     classes (the summary's `vertex_sums`, `double_point_sums` and
     `class_sums`) are built once; each order is then a few divisibility sums.
     """
+    return _spectrum(
+        cs, residues, orders,
+        lambda: (charpoly_zero_closed(cs, residues), charpoly_infinity(cs, residues)),
+    )
+
+
+def _spectrum(cs: CombinatorialSummary, residues, orders, polynomials) -> list[BoundReport]:
+    """`bound_spectrum` with `polynomials()` building its pair, called after the refusals.
+
+    The census passes the pair its battery has just checked.
+    """
     if len(residues) != cs.d:
         raise LengthMismatch(f"{cs.d} lines but {len(residues)} residues")
     orders = list(orders)
@@ -165,8 +178,7 @@ def bound_spectrum(cs: CombinatorialSummary, residues, orders) -> list[BoundRepo
         trivial = [i for i, r in enumerate(residues) if type(r) is int and r % n == 0]
         if trivial:
             raise TrivialMonodromy(f"monodromy is 1 on lines {trivial}")
-    zero = charpoly_zero_closed(cs, residues)
-    infinity = charpoly_infinity(cs, residues)
+    zero, infinity = polynomials()
     d_e = sum(residues)
     vertices = [(d_v, m - 2) for m, d_v in zip(cs.multiplicities, cs.vertex_sums(residues))]
     doubles = cs.double_point_sums(residues)

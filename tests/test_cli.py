@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
@@ -15,8 +16,16 @@ from unittest import mock
 import pytest
 
 import linemono.arrangement
-from linemono import CombinatorialSummary, compute_combinatorics, parse_arrangement
+import linemono.census
+from linemono import (
+    CombinatorialSummary,
+    FactoredUnityPoly,
+    compute_combinatorics,
+    parse_arrangement,
+)
+from linemono.arrangement import FILE_LIMIT, LINE_LIMIT
 from linemono.cli import EXIT_CLOSED_STDOUT, _vertex_rows, build_parser, main
+from linemono.errors import FileTooLarge
 
 from conftest import EIGHT_NORMAL_CROSSING, TRIANGLE, TWO_AXES, WEIGHTED_TRIANGLE
 
@@ -111,6 +120,96 @@ class TestInfo:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "FileError"
         assert "Is a directory" in payload["message"]
+
+
+class TestFileLimit:
+    """A file is read only up to FILE_LIMIT characters, and refused past it before it is parsed."""
+
+    @staticmethod
+    def _padded(size: int) -> str:
+        """The triangle document, padded with trailing spaces to `size` characters."""
+        text = json.dumps(TRIANGLE)
+        return text + " " * (size - len(text))
+
+    def test_at_the_limit(self, capsys, tmp_path, triangle_file):
+        path = tmp_path / "padded.json"
+        path.write_text(self._padded(FILE_LIMIT))
+        assert main(["verify", str(path)]) == 0
+        padded = capsys.readouterr().out
+        assert main(["verify", triangle_file]) == 0
+        assert padded == capsys.readouterr().out
+
+    def test_one_past_the_limit(self, capsys, tmp_path, monkeypatch):
+        def refused(document):
+            raise AssertionError("an over-limit file reached the parser")
+
+        monkeypatch.setattr(linemono.arrangement, "parse_arrangement", refused)
+        path = tmp_path / "padded.json"
+        path.write_text(self._padded(FILE_LIMIT + 1))
+        payload = run_json(capsys, 1, "verify", str(path))
+        assert payload == {
+            "error": "FileTooLarge",
+            "message": f"file has more than FILE_LIMIT = {FILE_LIMIT} characters",
+        }
+
+    def test_refusal_costs_the_limit_not_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(linemono.arrangement, "FILE_LIMIT", 1000)
+        path = tmp_path / "padded.json"
+        path.write_text(self._padded(10**6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileTooLarge, match="more than FILE_LIMIT = 1000 characters"):
+                linemono.arrangement.load_arrangement(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+    @pytest.mark.parametrize("count, refused", [(1000, False), (1001, True)])
+    def test_the_limit_counts_characters_not_bytes(self, tmp_path, monkeypatch, count, refused):
+        monkeypatch.setattr(linemono.arrangement, "FILE_LIMIT", 1000)
+        monkeypatch.setattr(linemono.arrangement, "parse_arrangement", len)
+        path = tmp_path / "wide.json"
+        path.write_text("\u00e9" * count, encoding="utf-8")  # two bytes each
+        if refused:
+            with pytest.raises(FileTooLarge):
+                linemono.arrangement.load_arrangement(path)
+        else:
+            assert linemono.arrangement.load_arrangement(path) == count
+
+    @pytest.mark.parametrize(
+        "size, code, key, value",
+        [(FILE_LIMIT, 0, "allPassed", True), (FILE_LIMIT + 1, 1, "error", "FileTooLarge")],
+    )
+    def test_through_a_pipe(self, size, code, key, value):
+        """A pipe reports no size: the bounded read alone refuses it."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "linemono.cli", "verify", "/dev/stdin"],
+            input=self._padded(size),
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert json.loads(proc.stdout)[key] == value
+
+    def test_largest_valid_document_fits(self, tmp_path, monkeypatch):
+        """A document the size of the largest valid one is read to its end.
+
+        That is LINE_LIMIT lines of 13 integers (a, b and c as Gaussian
+        rationals, and the weight) of 4300 digits each, indented.
+        """
+        digits = "9" * sys.get_int_max_str_digits()
+        part = f"{digits}/{digits}"
+        entry = {"a": {"re": part, "im": part}, "b": {"re": part, "im": part},
+                 "c": {"re": part, "im": part}, "e": int(digits)}
+        text = json.dumps({"lines": [entry] * LINE_LIMIT}, indent=2)
+        assert 0.8 < len(text) / FILE_LIMIT < 0.9
+        read = []
+        monkeypatch.setattr(linemono.arrangement, "parse_arrangement", read.append)
+        path = tmp_path / "maximal.json"
+        path.write_text(text)
+        linemono.arrangement.load_arrangement(path)
+        assert read == [text]
 
 
 class TestNumberTooLong:
@@ -677,11 +776,31 @@ class TestNoFractions:
 
 
 class TestOneSpectrumPerDraw:
-    def test_four_charpolys_per_census_draw(self, capsys, charpoly_calls):
-        """Two for the battery and two for the bound spectrum of all orders."""
+    def test_two_charpolys_per_census_draw(self, capsys, charpoly_calls):
+        """One pair per draw, read by the battery and by the bound spectrum of all orders."""
         assert main(["census", "--seed", "1", "--count", "20", "--max-order", "24"]) == 0
-        assert len(charpoly_calls) == 4 * 20
+        assert len(charpoly_calls) == 2 * 20
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["verify"], ["bound", "--order", "3"]])
+    def test_two_charpolys_per_file_command(self, capsys, charpoly_calls, command):
+        for fixture in sorted(FIXTURES.glob("*.json")):
+            charpoly_calls.clear()
+            assert main([command[0], str(fixture), *command[1:]]) == 0, fixture.name
+            assert len(charpoly_calls) == 2, (command, fixture.name)
+        capsys.readouterr()
+
+    def test_doctored_zero_charpoly_fails_the_census(self, capsys, monkeypatch):
+        """The battery reads the pair the spectrum reads: a wrong one still stops the census."""
+
+        def doctored(cs, weights=None):
+            return FactoredUnityPoly([(1, 1)])
+
+        monkeypatch.setattr(linemono.census, "charpoly_zero_closed", doctored)
+        payload = run_json(capsys, 2, "census", "--seed", "1", "--count", "3")
+        assert payload["error"] == "InternalCheckError"
+        assert payload["message"].startswith("draw 0 failed checks: ")
+        assert "zeta-agreement" in payload["message"]
 
 
 class TestOnlyInfoListsEveryVertex:
