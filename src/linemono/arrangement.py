@@ -10,8 +10,9 @@ multiplicity histogram and per-line vertex counts.  A vertex enters a
 formula with exponent m_v - 2, so only the multiple points (m_v >= 3) are
 kept, as three parallel columns in vertex order (integer keys, incident
 line sets, multiplicities); the double points are only counted.  Every
-vertex, for `info` and the strata, comes from the summary's
-`vertex_table`, built from the same pair loop.  The geometry carries no
+vertex comes from the same pair loop's dict, in the order of
+`vertex_keys`: `info` writes it as it is, and the strata read it frozen
+into the summary's `vertex_table`.  The geometry carries no
 weights: `CombinatorialSummary.vertex_sums`, `class_sums` and
 `double_point_sums` sum a weight vector (the arrangement's own, or
 local-system residues) into d(I_v), d_j and the double points' e_i + e_j.
@@ -82,6 +83,8 @@ LINE_LIMIT = 500
 # this: above the largest valid document, LINE_LIMIT lines of 13 integers
 # of 4300 digits each (about 28 million characters).
 FILE_LIMIT = 2**25
+# The keys an arrangement entry may have, and those it must have.
+_ENTRY_KEYS, _REQUIRED_KEYS = frozenset({"a", "b", "c", "e"}), frozenset({"a", "b", "c"})
 
 
 def _over_lead(key, form) -> list:
@@ -123,8 +126,9 @@ class Line:
         {"re": RAT, "im": RAT}, as in an arrangement document.
         """
         if type(a) is type(b) is type(c) is int and (a or b):
-            g = gcd(a, b, c) if (a or b) > 0 else -gcd(a, b, c)
-            return cls((a // g, 0, b // g, 0, c // g, 0))
+            h = gcd(a, b) if (a or b) > 0 else -gcd(a, b)
+            g = gcd(h, c) if h > 0 else -gcd(h, c)
+            return cls._made((a // g, 0, b // g, 0, c // g, 0), (a // h, 0, b // h, 0))
         parts = [part for z in (a, b, c) for part in parse_coefficient(z)]
         scale = lcm(*(den for _, den in parts))
         ar, ai, br, bi, cr, ci = (num * (scale // den) for num, den in parts)
@@ -136,8 +140,16 @@ class Line:
             br * lr + bi * li, bi * lr - br * li,
             cr * lr + ci * li, ci * lr - cr * li,
         )
-        g = gcd(*triple)
-        return cls(tuple(k // g for k in triple))
+        h = gcd(*triple[:4])
+        g = gcd(h, triple[4], triple[5])
+        return cls._made(tuple(k // g for k in triple), tuple(k // h for k in triple[:4]))
+
+    @classmethod
+    def _made(cls, triple: tuple, direction_key: tuple) -> "Line":
+        """The line of a triple that `canonical` has just made canonical, past the re-check."""
+        line = object.__new__(cls)
+        line.__dict__.update(triple=triple, direction_key=direction_key)
+        return line
 
     def coeff_string(self) -> str:
         return ",".join(_over_lead(self.triple, gaussian_text))
@@ -241,12 +253,11 @@ def parse_arrangement(document: str | bytes | dict) -> WeightedArrangement:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"line {i} is not an object")
-        unknown = set(entry) - {"a", "b", "c", "e"}
-        if unknown:
-            raise ParseError(f"line {i} has unknown keys: {sorted(unknown)}")
-        missing = {"a", "b", "c"} - set(entry)
-        if missing:
-            raise ParseError(f"line {i} is missing keys: {sorted(missing)}")
+        if not (entry.keys() <= _ENTRY_KEYS and _REQUIRED_KEYS <= entry.keys()):
+            unknown = set(entry) - _ENTRY_KEYS
+            if unknown:
+                raise ParseError(f"line {i} has unknown keys: {sorted(unknown)}")
+            raise ParseError(f"line {i} is missing keys: {sorted(_REQUIRED_KEYS - set(entry))}")
         lines.append(Line.canonical(entry["a"], entry["b"], entry["c"]))
         e = entry.get("e", 1)
         if type(e) is not int or e < 1:
@@ -299,9 +310,10 @@ class CombinatorialSummary:
     coordinates), `incidences` (the frozenset of lines through each) and
     `multiplicities` (their sizes); `double_points` is n_2.  The
     `histogram` (ascending in m) and `line_vertex_counts` cover every
-    vertex.  `vertex_table` is the one route to every vertex, double
-    points included.  `compute_combinatorics` fills them all from one
-    loop over pairs of exact-(A, B) groups.
+    vertex.  `vertex_keys` is the one route to the order of every vertex,
+    double points included, and `vertex_table` lists them all.
+    `compute_combinatorics` fills them from one loop over pairs of
+    exact-(A, B) groups.
     """
 
     d: int
@@ -313,7 +325,8 @@ class CombinatorialSummary:
     directions: tuple[DirectionClass, ...]
     histogram: dict[int, int]
     line_vertex_counts: tuple[int, ...]
-    # The pair loop's vertex keys to their lines (a pair, or a set if m > 2); for `vertex_table`.
+    # The pair loop's vertex keys to their lines: a pair (i, j), i > j possible, or a set if m > 2,
+    # each frozen by `vertex_table` once it is read.  For `vertex_table` and `cli._vertex_rows`.
     _points: dict[tuple[int, ...], tuple | set] = field(repr=False, compare=False)
 
     @property
@@ -332,18 +345,22 @@ class CombinatorialSummary:
         """
         return self.weights if weights is None else _validated_weights(weights, self.d)
 
+    def vertex_keys(self) -> list:
+        """Every vertex's key in vertex order, as the columns are: the keys of `_points`."""
+        return _in_point_order(self._points)
+
     @cached_property
     def vertex_table(self) -> tuple[tuple, tuple, tuple]:
         """(keys, incidences, multiplicities) over every vertex, double points included.
 
-        In vertex order, as the columns are.  Built once, when first read,
-        from the dict of this summary's own pair loop, whose pairs and
-        sets it freezes in place into the incidences: for `info`, `strata`
-        and whoever lists the vertices.
+        In vertex order (`vertex_keys`).  Built once, when first read, from
+        the dict of this summary's own pair loop, whose pairs and sets it
+        freezes in place into the incidences: for `strata` and whoever
+        lists the vertices.  `info` writes its rows from the dict itself.
         """
         for key, incident in self._points.items():
             self._points[key] = frozenset(incident)
-        keys = tuple(_in_point_order(self._points))
+        keys = tuple(self.vertex_keys())
         incidences = tuple(map(self._points.__getitem__, keys))
         return keys, incidences, tuple(map(len, incidences))
 

@@ -7,9 +7,9 @@ builds the summary, runs the command and emits the payload for them all.
 All output is UTF-8 JSON with lexicographically sorted keys, written by
 one emitter, `_emit`, whose bytes equal those of
 `json.dumps(payload, sort_keys=True, indent=2)`.  `info`'s vertex rows,
-the one output that grows with the number of vertices, are written
-inside it by `_vertex_rows`, straight from the summary's columns with one
-row template.  `census` writes its rows as JSON lines by `_emit_row`,
+the one output that grows with the number of vertices, are appended
+inside it by `_vertex_rows` as pieces, straight from the pair loop's dict
+of the summary, so `_emit`'s one join writes them.  `census` writes its rows as JSON lines by `_emit_row`,
 from one template per draw (`_row_template`).  Exit codes:
 0 success (and --help), 1 invalid input, usage errors included (with a
 machine-readable error object), 2 internal invariant violation or a
@@ -43,7 +43,7 @@ Result = tuple[dict, int]  # a command's payload and exit code
 
 
 _INDENT = "  "
-# A `partial` leaf writes its own text; as a container, a dict holding one is walked, not encoded.
+# A `partial` leaf appends its own text; as a container, a dict holding one is walked, not encoded.
 _CONTAINERS = frozenset((dict, list, tuple, partial))
 
 
@@ -81,11 +81,11 @@ def _indented(value, level: int, out: list[str]) -> None:
     call of the C encoder; only containers that hold containers are walked
     here.  The payload is built of plain dicts with str keys, lists,
     tuples and scalars, and of `partial` writers (such as `_vertex_rows`
-    for `info`) whose text, written for the level, is appended as it is.
+    for `info`), called with the level and `out` to append their own text.
     """
     kind = type(value)
     if kind is partial:
-        out.append(value(level))
+        value(level, out)
         return
     first, separator, close, encode = _level(level)
     items = value.values() if kind is dict else value
@@ -139,24 +139,28 @@ def _emit_row(template: str, row: CensusRow, stream) -> None:
     stream.write(template % (row.n0, row.n_infinity, row.bound, row.order, row.tighter))
 
 
-def _vertex_rows(cs: CombinatorialSummary, level: int) -> str:
-    """`info`'s "vertices" of `cs`, nested `level` deep, as `_indented` writes them.
+def _vertex_rows(cs: CombinatorialSummary, level: int, out: list[str]) -> None:
+    """Append `info`'s "vertices" of `cs`, nested `level` deep, to `out` as `_indented` writes them.
 
-    Written straight from `cs.vertex_table`: every row has the same four
-    keys, so one %-template writes it, and a line index's or a
+    Written straight from the pair loop's dict, in vertex order
+    (`cs.vertex_keys`): a double point's pair, smaller line first, or the
+    sorted lines of a multiple point's set (a frozenset once
+    `cs.vertex_table` is read).  Every row has the same four keys, so a
+    row is appended as pieces: the constant texts between its values, and
+    the texts of its lines, m, point and d(I_v).  A line index's or a
     coordinate's text, which many vertices share, is written once per call.
     """
     first, separator, close, _ = _level(level)
     key_first, key_separator, key_close, _ = _level(level + 1)
     item_first, item_separator, item_close, _ = _level(level + 2)
     part_first, part_separator, part_close, _ = _level(level + 3)
-    row = (
-        f'{{{key_first}"incident": [{item_first}%s{item_close}]{key_separator}"multiplicity": %d'
-        f'{key_separator}"point": [{item_first}%s{item_separator}%s{item_close}]'
-        f'{key_separator}"weightSum": %d{key_close}}}'
-    )
+    head = f'{{{key_first}"incident": [{item_first}'
+    multiplicity = f'{item_close}]{key_separator}"multiplicity": '
+    point = f'{key_separator}"point": [{item_first}'
+    weight_sum = f'{item_close}]{key_separator}"weightSum": '
     non_real = f'{{{part_first}"im": "%s"{part_separator}"re": "%s"{part_close}}}'
     names = list(map(str, range(cs.d)))
+    weights = cs.weights
 
     @cache
     def coordinate(re: int, im: int, n: int) -> str:
@@ -164,17 +168,27 @@ def _vertex_rows(cs: CombinatorialSummary, level: int) -> str:
             return f'"{rational_text(re, n)}"'
         return non_real % (rational_text(im, n), rational_text(re, n))
 
-    keys, incidences, multiplicities = cs.vertex_table
-    rows = [
-        row % (
-            item_separator.join([names[i] for i in sorted(incident)]), m,
-            coordinate(x_re, x_im, n), coordinate(y_re, y_im, n), d_v,
+    points = cs._points
+    end = key_close + "}"
+    lead, between = "[" + first + head, end + separator + head
+    for key in cs.vertex_keys():
+        incident = points[key]
+        if type(incident) is tuple:  # a double point's pair, in the order the loop met it
+            i, j = incident if incident[0] < incident[1] else incident[::-1]
+            out += (lead, names[i], item_separator, names[j], multiplicity, "2")
+            d_v = weights[i] + weights[j]
+        else:
+            lines = sorted(incident)
+            text = item_separator.join([names[i] for i in lines])
+            out += (lead, text, multiplicity, str(len(lines)))
+            d_v = sum(map(weights.__getitem__, lines))
+        x_re, x_im, y_re, y_im, n = key
+        out += (
+            point, coordinate(x_re, x_im, n), item_separator, coordinate(y_re, y_im, n),
+            weight_sum, str(d_v),
         )
-        for (x_re, x_im, y_re, y_im, n), incident, m, d_v in zip(
-            keys, incidences, multiplicities, cs.vertex_sums(cs.weights, incidences)
-        )
-    ]
-    return f"[{first}{separator.join(rows)}{close}]"
+        lead = between
+    out.append(end + close + "]")
 
 
 def cmd_info(cs: CombinatorialSummary) -> Result:

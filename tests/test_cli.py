@@ -252,7 +252,7 @@ class TestNumberTooLong:
         # dE is longer still; the row writer alone refuses the weight sum too.
         cs = compute_combinatorics(parse_arrangement({"lines": lines}))
         with pytest.raises(ValueError, match="integer string conversion"):
-            _vertex_rows(cs, 2)
+            _vertex_rows(cs, 2, [])
 
     def test_factor_index(self, capsys, tmp_path):
         weight = 9 * 10**4299  # two such weights sum to a 4301-digit factor index
@@ -804,7 +804,10 @@ class TestOneSpectrumPerDraw:
 
 
 class TestOnlyInfoListsEveryVertex:
-    """The summary keeps the multiple points; only `info` builds the table of every vertex."""
+    """The summary keeps the multiple points; no command builds the table of every vertex.
+
+    `info` lists every vertex too, but writes its rows from the pair loop's dict.
+    """
 
     @pytest.fixture
     def counted(self):
@@ -847,7 +850,7 @@ class TestOnlyInfoListsEveryVertex:
             )
         capsys.readouterr()
         assert runs == {
-            "info": (1, 1), "verify": (1, 0), "charpolyzero": (1, 0),
+            "info": (1, 0), "verify": (1, 0), "charpolyzero": (1, 0),
             "charpolyinfinity": (1, 0), "zeta": (1, 0), "bound5": (1, 0),
         }
 
