@@ -8,14 +8,14 @@ the multiple points, the number of double points, the direction classes
 (the points at infinity, kept purely combinatorial), the vertex
 multiplicity histogram and per-line vertex counts.  A vertex enters a
 formula with exponent m_v - 2, so only the multiple points (m_v >= 3) are
-kept, as three parallel columns in vertex order (integer keys, incident
-line sets, multiplicities); the double points are only counted.  Every
-vertex comes from the same pair loop's dict, in the order of
-`vertex_keys`: `info` writes it as it is, and the strata read it frozen
-into the summary's `vertex_table`.  The geometry carries no
-weights: `CombinatorialSummary.vertex_sums`, `class_sums` and
-`double_point_sums` sum a weight vector (the arrangement's own, or
-local-system residues) into d(I_v), d_j and the double points' e_i + e_j.
+kept, as two parallel columns in vertex order (incident line sets and
+multiplicities); the double points are only counted.  Every vertex,
+double points included, is listed by `CombinatorialSummary.all_vertices`
+from the pair loop's dict, for `info`'s rows and the strata.  The
+geometry carries no weights: `CombinatorialSummary.vertex_sums`,
+`class_sums` and `double_point_sums` sum a weight vector (the
+arrangement's own, or local-system residues) into d(I_v), d_j and the
+double points' e_i + e_j.
 No epsilon appears anywhere; coincidence of intersection points is exact.
 
 A line is kept as its triple (Re A, Im A, Re B, Im B, Re C, Im C): the
@@ -59,9 +59,9 @@ import os
 import stat
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
+from typing import Iterator
 
 from .errors import (
     BadGcd,
@@ -304,29 +304,25 @@ class CombinatorialSummary:
 
     A vertex v enters the formulas through (t^{d(I_v)} - 1)^{m_v - 2},
     so a double point (m_v = 2) adds nothing and is only counted.  The
-    multiple points (m_v >= 3) are three parallel columns in vertex order:
-    `keys` (each point's primitive integer key (x_re, x_im, y_re, y_im, n),
-    the point being ((x_re + x_im i)/n, (y_re + y_im i)/n), sorted on the
-    coordinates), `incidences` (the frozenset of lines through each) and
-    `multiplicities` (their sizes); `double_points` is n_2.  The
-    `histogram` (ascending in m) and `line_vertex_counts` cover every
-    vertex.  `vertex_keys` is the one route to the order of every vertex,
-    double points included, and `vertex_table` lists them all.
-    `compute_combinatorics` fills them from one loop over pairs of
-    exact-(A, B) groups.
+    multiple points (m_v >= 3) are two parallel columns in vertex order
+    (sorted on the coordinates): `incidences` (the frozenset of lines
+    through each) and `multiplicities` (their sizes); `double_points` is
+    n_2.  The `histogram` (ascending in m) and `line_vertex_counts` cover
+    every vertex.  `all_vertices` is the one route to every vertex, double
+    points included.  `compute_combinatorics` fills them from one loop over
+    pairs of exact-(A, B) groups.
     """
 
     d: int
     weights: tuple[int, ...]
-    keys: tuple[tuple[int, int, int, int, int], ...]
     incidences: tuple[frozenset[int], ...]
     multiplicities: tuple[int, ...]
     double_points: int
     directions: tuple[DirectionClass, ...]
     histogram: dict[int, int]
     line_vertex_counts: tuple[int, ...]
-    # The pair loop's vertex keys to their lines: a pair (i, j), i > j possible, or a set if m > 2,
-    # each frozen by `vertex_table` once it is read.  For `vertex_table` and `cli._vertex_rows`.
+    # The pair loop's vertex keys to their lines: a pair (i, j), i > j possible, or a set if m > 2.
+    # Read only by `all_vertices`, which leaves it as it is.
     _points: dict[tuple[int, ...], tuple | set] = field(repr=False, compare=False)
 
     @property
@@ -345,36 +341,30 @@ class CombinatorialSummary:
         """
         return self.weights if weights is None else _validated_weights(weights, self.d)
 
-    def vertex_keys(self) -> list:
-        """Every vertex's key in vertex order, as the columns are: the keys of `_points`."""
-        return _in_point_order(self._points)
+    def all_vertices(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(key, lines) for every vertex, double points included, in vertex order.
 
-    @cached_property
-    def vertex_table(self) -> tuple[tuple, tuple, tuple]:
-        """(keys, incidences, multiplicities) over every vertex, double points included.
-
-        In vertex order (`vertex_keys`).  Built once, when first read, from
-        the dict of this summary's own pair loop, whose pairs and sets it
-        freezes in place into the incidences: for `strata` and whoever
-        lists the vertices.  `info` writes its rows from the dict itself.
+        A key is the point's primitive integer key (x_re, x_im, y_re, y_im, n),
+        the point being ((x_re + x_im i)/n, (y_re + y_im i)/n).  `lines`
+        ascend: a double point's pair, smaller line first, or a multiple
+        point's lines sorted.
         """
-        for key, incident in self._points.items():
-            self._points[key] = frozenset(incident)
-        keys = tuple(self.vertex_keys())
-        incidences = tuple(map(self._points.__getitem__, keys))
-        return keys, incidences, tuple(map(len, incidences))
+        points = self._points
+        for key in _in_point_order(points):
+            lines = points[key]
+            if type(lines) is tuple:
+                yield key, lines if lines[0] < lines[1] else lines[::-1]
+            else:
+                yield key, tuple(sorted(lines))
 
-    def vertex_sums(self, weights, incidences=None) -> list[int]:
-        """d(I_v) for each vertex, in vertex order: `weights` summed over its lines.
+    def vertex_sums(self, weights) -> list[int]:
+        """d(I_v) for each multiple point, in vertex order: `weights` summed over its lines.
 
-        The vertices are the multiple points, or `incidences` when given
-        (such as `vertex_table[1]`).  With every weight 1 these are the
-        multiplicities.
+        With every weight 1 these are the multiplicities.
         """
-        incidences = self.incidences if incidences is None else incidences
         if all(e == 1 for e in weights):
-            return list(map(len, incidences))
-        return [sum(map(weights.__getitem__, incident)) for incident in incidences]
+            return list(self.multiplicities)
+        return [sum(map(weights.__getitem__, incident)) for incident in self.incidences]
 
     def class_sums(self, weights) -> list[int]:
         """d_j for each direction class, in class order: `weights` summed over its members."""
@@ -513,8 +503,7 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
         classes.setdefault(line.direction_key, []).append(i)
     points, multiple = _intersections(arr.lines)
 
-    keys = tuple(_in_point_order(multiple))
-    incidences = tuple(frozenset(points[key]) for key in keys)
+    incidences = tuple(frozenset(points[key]) for key in _in_point_order(multiple))
     multiplicities = tuple(map(len, incidences))
     # A class's key over its lead n (Re A, or Re B when A = 0) is its
     # canonical (a, b), which orders the classes as points are ordered.
@@ -538,7 +527,6 @@ def compute_combinatorics(arr: WeightedArrangement) -> CombinatorialSummary:
     return CombinatorialSummary(
         d=d,
         weights=arr.weights,
-        keys=keys,
         incidences=incidences,
         multiplicities=multiplicities,
         double_points=double_points,

@@ -142,13 +142,11 @@ def _emit_row(template: str, row: CensusRow, stream) -> None:
 def _vertex_rows(cs: CombinatorialSummary, level: int, out: list[str]) -> None:
     """Append `info`'s "vertices" of `cs`, nested `level` deep, to `out` as `_indented` writes them.
 
-    Written straight from the pair loop's dict, in vertex order
-    (`cs.vertex_keys`): a double point's pair, smaller line first, or the
-    sorted lines of a multiple point's set (a frozenset once
-    `cs.vertex_table` is read).  Every row has the same four keys, so a
-    row is appended as pieces: the constant texts between its values, and
-    the texts of its lines, m, point and d(I_v).  A line index's or a
-    coordinate's text, which many vertices share, is written once per call.
+    Written straight from `cs.all_vertices()`, in vertex order.  Every row
+    has the same four keys, so a row is appended as pieces: the constant
+    texts between its values, and the texts of its lines, m, point and
+    d(I_v).  A line index's or a coordinate's text, which many vertices
+    share, is written once per call.
     """
     first, separator, close, _ = _level(level)
     key_first, key_separator, key_close, _ = _level(level + 1)
@@ -168,17 +166,14 @@ def _vertex_rows(cs: CombinatorialSummary, level: int, out: list[str]) -> None:
             return f'"{rational_text(re, n)}"'
         return non_real % (rational_text(im, n), rational_text(re, n))
 
-    points = cs._points
     end = key_close + "}"
     lead, between = "[" + first + head, end + separator + head
-    for key in cs.vertex_keys():
-        incident = points[key]
-        if type(incident) is tuple:  # a double point's pair, in the order the loop met it
-            i, j = incident if incident[0] < incident[1] else incident[::-1]
+    for key, lines in cs.all_vertices():
+        if len(lines) == 2:
+            i, j = lines
             out += (lead, names[i], item_separator, names[j], multiplicity, "2")
             d_v = weights[i] + weights[j]
         else:
-            lines = sorted(incident)
             text = item_separator.join([names[i] for i in lines])
             out += (lead, text, multiplicity, str(len(lines)))
             d_v = sum(map(weights.__getitem__, lines))

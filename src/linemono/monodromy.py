@@ -73,9 +73,10 @@ class StratumDescriptor:
 
 def strata(cs: CombinatorialSummary) -> Iterator[StratumDescriptor]:
     """The stratification of the zero fiber the zeta product runs over, every vertex included."""
-    _, incidences, multiplicities = cs.vertex_table
-    for m, d_v in zip(multiplicities, cs.vertex_sums(cs.weights, incidences)):
-        yield StratumDescriptor("vertex", weight_sum=d_v, multiplicity=m, euler=1)
+    weights = cs.weights
+    for _, lines in cs.all_vertices():
+        d_v = sum(map(weights.__getitem__, lines))
+        yield StratumDescriptor("vertex", weight_sum=d_v, multiplicity=len(lines), euler=1)
     for e, count in zip(cs.weights, cs.line_vertex_counts):
         yield StratumDescriptor("open_line_piece", weight_sum=e, multiplicity=1, euler=1 - count)
 

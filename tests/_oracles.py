@@ -335,11 +335,10 @@ def summary_to_json(lines, weights):
 
 def vertex_mult_zero(cs, ls):
     """sum (m_v - 2) over every vertex, double points included, whose residue sum the order divides."""
-    _, incidences, multiplicities = cs.vertex_table
     return sum(
-        m - 2
-        for incident, m in zip(incidences, multiplicities)
-        if sum(ls.residues[i] for i in incident) % ls.order == 0
+        len(lines) - 2
+        for _, lines in cs.all_vertices()
+        if sum(ls.residues[i] for i in lines) % ls.order == 0
     )
 
 

@@ -8,10 +8,12 @@ submodules, and the demos import only exports from it.  README's Library
 example runs as written, prints what its comments say, and computes the
 geometry once.  The package computes in integers only, so no module of
 it imports `fractions` or `decimal`.  A fact is set once by its owner, so
-the one attribute derived lazily is the summary's `vertex_table`.
+no attribute is derived lazily.  Every `cs.NAME` that README.md or a
+demo's docstring backquotes names an attribute of the summary.
 """
 
 import ast
+import dataclasses
 import io
 import re
 import types
@@ -124,7 +126,7 @@ def _names_cached_property(node) -> bool:
     )
 
 
-def test_cached_property_only_on_the_vertex_table():
+def test_no_cached_property():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -140,4 +142,23 @@ def test_cached_property_only_on_the_vertex_table():
             for node in ast.walk(tree)
             if _names_cached_property(node) and node not in decorators
         ]
-    assert found == ["CombinatorialSummary.vertex_table"]
+    assert found == []
+
+
+def _documented_summary_names() -> list[tuple[str, str]]:
+    """(file, NAME) for each backquoted `cs.NAME` in README.md and the demos' docstrings."""
+    texts = [("README.md", README.read_text(encoding="utf-8"))]
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                texts.append((path.name, ast.get_docstring(node) or ""))
+    return [(name, found) for name, text in texts for found in re.findall(r"`cs\.(\w+)", text)]
+
+
+def test_documented_summary_names_exist():
+    summary = linemono.CombinatorialSummary
+    attributes = {f.name for f in dataclasses.fields(summary)} | set(dir(summary))
+    documented = _documented_summary_names()
+    assert ("README.md", "all_vertices") in documented
+    assert ("01_combinatorics.py", "all_vertices") in documented
+    assert [entry for entry in documented if entry[1] not in attributes] == []

@@ -17,6 +17,7 @@ from linemono import (
     WeightedArrangement,
     compute_combinatorics,
     parse_arrangement,
+    strata,
 )
 from linemono.arrangement import LINE_LIMIT
 from linemono.errors import TooManyLines
@@ -206,10 +207,10 @@ class TestCombinatorics:
         assert cs.d == 2 and cs.p == 2
         assert cs.histogram == {2: 1}
         assert cs.line_vertex_counts == (1, 1)
-        assert cs.keys == () and cs.double_points == 1
-        keys, incidences, multiplicities = cs.vertex_table
-        assert [key_point(key) for key in keys] == [((0, 0), (0, 0))]
-        assert incidences == (frozenset({0, 1}),) and multiplicities == (2,)
+        assert cs.incidences == () and cs.double_points == 1
+        vertices = list(cs.all_vertices())
+        assert [key_point(key) for key, _ in vertices] == [((0, 0), (0, 0))]
+        assert [lines for _, lines in vertices] == [(0, 1)]
 
     def test_eight_line_fixture_against_brute_force(self, eight_normal_crossing):
         cs = compute_combinatorics(eight_normal_crossing)
@@ -235,10 +236,9 @@ class TestCombinatorics:
         cs = compute_combinatorics(weighted_triangle)
         assert sum(cs.weights) == 4
         assert cs.incidences == () and cs.double_points == 3
-        incidences = cs.vertex_table[1]
-        sums = [sum(cs.weights[i] for i in incident) for incident in incidences]
+        sums = [sum(cs.weights[i] for i in lines) for _, lines in cs.all_vertices()]
         assert sorted(sums) == [2, 3, 3]
-        assert cs.vertex_sums(cs.weights, incidences) == sums
+        assert [s.weight_sum for s in strata(cs) if s.kind == "vertex"] == sums
         assert cs.json_without_vertices()["dE"] == 4
 
     def test_complex_coefficients(self):
@@ -270,7 +270,7 @@ class TestCombinatorics:
 
     def test_vertices_sorted_lexicographically(self, triangle):
         cs = compute_combinatorics(triangle)
-        keys = [(*x, *y) for x, y in map(key_point, cs.vertex_table[0])]
+        keys = [(*x, *y) for x, y in (key_point(key) for key, _ in cs.all_vertices())]
         assert len(keys) == 3 and keys == sorted(keys)
 
 
@@ -301,7 +301,7 @@ class TestInvarianceProperties:
     @settings(max_examples=60, deadline=None)
     def test_incidence_double_count(self, specs):
         cs = compute_combinatorics(build_arrangement(specs))
-        total = sum(cs.vertex_table[2])
+        total = sum(len(lines) for _, lines in cs.all_vertices())
         assert sum(cs.multiplicities) + 2 * cs.double_points == total
         assert sum(cs.line_vertex_counts) == total
         assert sum(m * n for m, n in cs.histogram.items()) == total
@@ -328,8 +328,9 @@ class TestInvarianceProperties:
         permuted = compute_combinatorics(build_arrangement(shuffled))
         assert original.histogram == permuted.histogram
         assert sorted(original.line_vertex_counts) == sorted(permuted.line_vertex_counts)
-        assert original.keys == permuted.keys
-        assert original.vertex_table[0] == permuted.vertex_table[0]
+        assert [(key, len(lines)) for key, lines in original.all_vertices()] == [
+            (key, len(lines)) for key, lines in permuted.all_vertices()
+        ]
         assert sorted(g.count for g in original.directions) == sorted(
             g.count for g in permuted.directions
         )

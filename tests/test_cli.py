@@ -9,7 +9,6 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from unittest import mock
 
@@ -711,7 +710,7 @@ GRID = {
 
 
 class TestNoVertexObjects:
-    """The summary's three columns are the only vertex data."""
+    """The summary's two columns and `all_vertices` are the only vertex data."""
 
     def test_no_vertex_type(self):
         import linemono.arrangement
@@ -724,7 +723,9 @@ class TestNoVertexObjects:
         assert max(cs.histogram) == 4
         assert not hasattr(CombinatorialSummary, "vertices")
         assert not hasattr(cs, "vertices")
-        assert len(cs.keys) == len(cs.incidences) == len(cs.multiplicities)
+        assert len(cs.incidences) == len(cs.multiplicities)
+        multiple = [lines for _, lines in cs.all_vertices() if len(lines) > 2]
+        assert multiple == [tuple(sorted(incident)) for incident in cs.incidences]
 
 
 @pytest.fixture
@@ -804,31 +805,22 @@ class TestOneSpectrumPerDraw:
 
 
 class TestOnlyInfoListsEveryVertex:
-    """The summary keeps the multiple points; no command builds the table of every vertex.
-
-    `info` lists every vertex too, but writes its rows from the pair loop's dict.
-    """
+    """The summary keeps the multiple points; only `info` lists every vertex, once."""
 
     @pytest.fixture
     def counted(self):
-        """(pair loops run, vertex tables built) while the fixture is active."""
-        builds = []
-        build = CombinatorialSummary.__dict__["vertex_table"].func
-
-        def counting(cs):
-            builds.append(cs)
-            return build(cs)
-
-        table = cached_property(counting)
-        table.__set_name__(CombinatorialSummary, "vertex_table")
+        """(pair loops run, vertex listings started) while the fixture is active."""
         with mock.patch.object(
             linemono.arrangement, "_intersections", wraps=linemono.arrangement._intersections
-        ) as pairs, mock.patch.object(CombinatorialSummary, "vertex_table", table):
-            yield pairs, builds
+        ) as pairs, mock.patch.object(
+            CombinatorialSummary, "all_vertices", autospec=True,
+            side_effect=CombinatorialSummary.all_vertices,
+        ) as listings:
+            yield pairs, listings
 
     @pytest.mark.parametrize("document", ["GRID", *sorted(p.name for p in FIXTURES.glob("*.json"))])
     def test_per_command(self, capsys, tmp_path, counted, document):
-        pairs, builds = counted
+        pairs, listings = counted
         path = FIXTURES / document
         if document == "GRID":
             path = tmp_path / "grid.json"
@@ -843,22 +835,22 @@ class TestOnlyInfoListsEveryVertex:
             ["bound", "--order", "5"],
         ):
             pairs.reset_mock()
-            builds.clear()
+            listings.reset_mock()
             assert main([command[0], str(path), *command[1:]]) == 0, command
             runs[command[0] + (command[2] if len(command) > 2 else "")] = (
-                pairs.call_count, len(builds)
+                pairs.call_count, listings.call_count
             )
         capsys.readouterr()
         assert runs == {
-            "info": (1, 0), "verify": (1, 0), "charpolyzero": (1, 0),
+            "info": (1, 1), "verify": (1, 0), "charpolyzero": (1, 0),
             "charpolyinfinity": (1, 0), "zeta": (1, 0), "bound5": (1, 0),
         }
 
     def test_census(self, capsys, counted):
-        pairs, builds = counted
+        pairs, listings = counted
         assert main(["census", "--seed", "1", "--count", "20"]) == 0
         capsys.readouterr()
-        assert (pairs.call_count, len(builds)) == (20, 0)
+        assert (pairs.call_count, listings.call_count) == (20, 0)
 
     def test_histogram_ascending(self):
         """n_2 is counted apart from the multiple points, yet leads the histogram."""

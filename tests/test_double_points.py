@@ -77,7 +77,7 @@ class TestCountsAgainstOracle:
     def test_no_multiple_point(self, raw):
         arr, oracle = _oracle_arrangement(raw)
         cs = compute_combinatorics(arr)
-        assert cs.keys == cs.incidences == cs.multiplicities == ()
+        assert cs.incidences == cs.multiplicities == ()
         assert cs.double_points == cs.d * (cs.d - 1) // 2 == len(oracle["vertices"])
         assert cs.histogram == {2: cs.double_points}
         assert cs.line_vertex_counts == (cs.d - 1,) * cs.d

@@ -97,21 +97,19 @@ def _sort_key(key):
 
 
 def _assert_vertices_match_oracle(cs, oracle):
-    """Every vertex of `vertex_table`, and the multiple points of the columns, against the oracle.
+    """Every vertex of `all_vertices`, and the multiple points of the columns, against the oracle.
 
-    The table holds every vertex in coordinate order; the columns hold the
-    multiple points (m >= 3) in the same order; `double_points`, the
-    histogram (ascending in m) and the per-line counts cover every vertex.
+    `all_vertices` yields every vertex in coordinate order, its lines
+    ascending; the columns hold the multiple points (m >= 3) in the same
+    order; `double_points`, the histogram (ascending in m) and the per-line
+    counts cover every vertex.
     """
-    keys, incidences, multiplicities = cs.vertex_table
-    assert {
-        key_point(key): sorted(incident) for key, incident in zip(keys, incidences)
-    } == oracle["vertices"]
-    assert list(multiplicities) == list(map(len, incidences))
-    order = [_sort_key(key) for key in keys]
+    vertices = list(cs.all_vertices())
+    assert {key_point(key): list(lines) for key, lines in vertices} == oracle["vertices"]
+    order = [_sort_key(key) for key, _ in vertices]
     assert order == sorted(order) and len(set(order)) == len(order)
-    assert cs.keys == tuple(key for key, m in zip(keys, multiplicities) if m > 2)
-    assert cs.incidences == tuple(i for i, m in zip(incidences, multiplicities) if m > 2)
+    multiplicities = [len(lines) for _, lines in vertices]
+    assert cs.incidences == tuple(frozenset(lines) for _, lines in vertices if len(lines) > 2)
     assert cs.multiplicities == tuple(m for m in multiplicities if m > 2)
     assert cs.double_points == multiplicities.count(2) == oracle["histogram"].get(2, 0)
     assert cs.histogram == oracle["histogram"]
@@ -122,9 +120,12 @@ def _assert_vertices_match_oracle(cs, oracle):
 def _assert_sums_match_oracle(cs, oracle, weights):
     """vertex_sums, class_sums and both charpolys over `weights` against the oracle's sums."""
     by_point = oracle["vertex_weight_sums"]
-    assert cs.vertex_sums(weights) == [by_point[key_point(key)] for key in cs.keys]
-    keys, incidences, _ = cs.vertex_table
-    assert cs.vertex_sums(weights, incidences) == [by_point[key_point(key)] for key in keys]
+    vertices = list(cs.all_vertices())
+    multiple = [key for key, lines in vertices if len(lines) > 2]
+    assert cs.vertex_sums(weights) == [by_point[key_point(key)] for key in multiple]
+    assert [sum(weights[i] for i in lines) for _, lines in vertices] == [
+        by_point[key_point(key)] for key, _ in vertices
+    ]
     by_direction = oracle["class_weights"]
     assert cs.class_sums(weights) == [
         by_direction[key_coefficients(g.key)] for g in cs.directions
@@ -150,7 +151,7 @@ def _assert_points_from_keys(cs, kept, path):
         assert main(["info", str(path)]) == 0
     rows = json.loads(out.getvalue())["combinatorics"]["vertices"]
     assert [row["point"] for row in rows] == [
-        [gaussian_coef(*z) for z in key_point(key)] for key in cs.vertex_table[0]
+        [gaussian_coef(*z) for z in key_point(key)] for key, _ in cs.all_vertices()
     ]
 
 
@@ -190,7 +191,7 @@ class TestAgainstOracle:
         assume(built is not None)
         _, arr = built
         cs = compute_combinatorics(arr)
-        for key, incident in zip(*cs.vertex_table[:2]):
+        for key, lines in cs.all_vertices():
             x, y = key_point(key)
             through = [
                 i
@@ -199,7 +200,7 @@ class TestAgainstOracle:
                 )
                 if cadd(cadd(cmul(line_a, x), cmul(line_b, y)), line_c) == ZERO
             ]
-            assert through == sorted(incident)
+            assert through == list(lines)
 
 
 class TestGenericLargeDenominators:
@@ -208,7 +209,7 @@ class TestGenericLargeDenominators:
         equations = [(1000, 1, 0), (1001, 1, 0), (1, 0, 0)]
         lines = [Line.canonical(a, b, c) for a, b, c in equations]
         cs = compute_combinatorics(WeightedArrangement.build(lines, [1] * 3))
-        assert cs.keys == ((0, 0, 0, 0, 1),)
+        assert [key for key, lines in cs.all_vertices() if len(lines) > 2] == [(0, 0, 0, 0, 1)]
         assert [key_coefficients(g.key)[1][0] for g in cs.directions] == [
             0, Fraction(1, 1001), Fraction(1, 1000)
         ]
@@ -219,8 +220,8 @@ class TestGenericLargeDenominators:
         lines = [Line.canonical(a, b, c) for a, b, c in equations]
         cs = compute_combinatorics(WeightedArrangement.build(lines, [1] * 4))
         left, right = Fraction(1, 1001), Fraction(1, 1000)
-        assert cs.keys == () and cs.double_points == 4
-        assert [(x[0], y[0]) for x, y in map(key_point, cs.vertex_table[0])] == [
+        assert cs.incidences == () and cs.double_points == 4
+        assert [(x[0], y[0]) for x, y in (key_point(key) for key, _ in cs.all_vertices())] == [
             (left, 0), (left, 1), (right, 0), (right, 1)
         ]
 
@@ -235,7 +236,7 @@ class TestGenericLargeDenominators:
         cs = compute_combinatorics(arr)
         oracle = brute_combinatorics(kept)
         _assert_vertices_match_oracle(cs, oracle)
-        assert cs.keys == () and cs.double_points == 40 * 39 // 2
+        assert cs.incidences == () and cs.double_points == 40 * 39 // 2
         _assert_points_from_keys(cs, kept, tmp_path / "forty.json")
 
 
@@ -342,22 +343,19 @@ class TestPointOnDemand:
 
         with mock.patch.object(Fraction, "__new__", counting_new):
             cs = compute_combinatorics(arr)
+            vertices = list(cs.all_vertices())
             assert built == []
-            assert key_point(cs.keys[-1])
+            assert key_point([key for key, lines in vertices if len(lines) > 2][-1])
             assert len(built) == 4  # the patch does count
-        assert len(cs.vertex_table[0]) > 300
+        assert len(vertices) > 300
         assert max(cs.histogram) >= 3
 
     def test_peak_memory_of_generic_lines(self):
         """A double point is only counted, and kept as its pair: no set, sorted key or frozenset.
 
         120 generic lines give 7140 vertices, all double points.  The peak
-        traced during the grouping measured 1.94 MiB with each double point
-        kept as its pair (i, j) (3.03 MiB with a set per vertex and only the
-        multiple points kept as columns, 4.8 MiB with every vertex sorted and
-        frozen into the columns, 5.3 MiB with a `Vertex` object per vertex,
-        10.4 MiB when every vertex also built its point with Fractions); the
-        bound is that measurement plus 30%.
+        traced during the grouping measured 1.94 MiB, each double point kept
+        as its pair (i, j); the bound is that measurement plus 30%.
         """
         rng = random.Random(120)
         triples = set()
@@ -373,7 +371,7 @@ class TestPointOnDemand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cs.keys == () and cs.double_points == 7140
+        assert cs.incidences == () and cs.double_points == 7140
         assert peak < 1.3 * 1.94 * 2**20
 
 
@@ -422,9 +420,9 @@ class TestAgainstSympy:
                 expected.setdefault(point, set()).update((i, j))
 
         cs = compute_combinatorics(arr)
-        keys, incidences, _ = cs.vertex_table
-        points = [key_point(key) for key in keys]
-        assert {point: set(incident) for point, incident in zip(points, incidences)} == expected
+        vertices = list(cs.all_vertices())
+        points = [key_point(key) for key, _ in vertices]
+        assert {key_point(key): set(lines) for key, lines in vertices} == expected
         _assert_points_from_keys(cs, kept, tmp_path / "sympy.json")
         assert points == sorted(expected, key=lambda p: (*p[0], *p[1]))
         assert any(m >= 3 for m in cs.multiplicities)

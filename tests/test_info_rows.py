@@ -1,15 +1,15 @@
 """`info` writes its vertex rows straight from the pair loop, in less memory than dicts.
 
-`cli._vertex_rows` appends each row as pieces, from the pair loop's dict
+`cli._vertex_rows` appends each row as pieces, from `cs.all_vertices()`
 in vertex order: a double point's pair (which the loop may hold larger
-line first), a multiple point's set, or either frozen by a read of
-`cs.vertex_table`.  `info`'s stdout must equal `json.dumps` of the report
+line first) or a multiple point's set, each read as ascending lines and
+left as the loop made it.  `info`'s stdout must equal `json.dumps` of the report
 and of `_oracles.summary_to_json`, which rebuilds the "combinatorics"
 object from the Fraction-pair oracle and shares no code with the
 package, byte for byte: on random Gaussian arrangements with weights,
 pencils and parallel classes, on every fixture, on the benchmark's
 seed-1 grid inputs, and on pairs held larger line first, with and without
-the table read first.  `cli._indented` lets such a `partial` leaf append
+the vertices listed first.  `cli._indented` lets such a `partial` leaf append
 its own text, the rows build no `Fraction`, and the peak memory of `info`
 on generic lines stays below that of a dict per vertex.
 """
@@ -119,12 +119,13 @@ class TestRowsAgainstToJson:
         document = json.loads((FIXTURES / name).read_text())
         _assert_info_matches_oracle(document, tmp_path / name)
 
-    @pytest.mark.parametrize("table_first", [False, True], ids=["loop", "frozen"])
-    def test_pair_held_larger_line_first(self, tmp_path, monkeypatch, table_first):
+    @pytest.mark.parametrize("listed_first", [False, True], ids=["loop", "listed-first"])
+    def test_pair_held_larger_line_first(self, tmp_path, monkeypatch, listed_first):
         """Lines 0 and 2 are one (A, B) group, met before line 1's: the loop holds (2, 1).
 
-        The rows are written from the loop's own pairs and sets, or from the
-        frozensets that a read of `cs.vertex_table` leaves in their place.
+        Listing the vertices changes nothing: a second listing equals the
+        first, the loop's pair and set keep their types, and the rows are
+        the same whether or not the vertices were listed first.
         """
         document = {
             "lines": [
@@ -134,17 +135,22 @@ class TestRowsAgainstToJson:
                 {"a": 1, "b": 1, "c": 0, "e": 2},
             ]
         }
-        held = list(compute_combinatorics(parse_arrangement(document))._points.values())
+        cs = compute_combinatorics(parse_arrangement(document))
+        listed = list(cs.all_vertices())
+        assert list(cs.all_vertices()) == listed
+        assert [lines for _, lines in listed] == [(0, 1, 3), (2, 3), (1, 2)]
+        held = list(cs._points.values())
         assert (2, 1) in held and {0, 1, 3} in held
-        if table_first:
+        assert sorted(type(lines).__name__ for lines in held) == ["set", "tuple", "tuple"]
+        if listed_first:
             summarize = linemono.cli.compute_combinatorics
 
-            def summarize_and_freeze(arr):
+            def summarize_and_list(arr):
                 cs = summarize(arr)
-                assert cs.vertex_table
+                assert list(cs.all_vertices())
                 return cs
 
-            monkeypatch.setattr(linemono.cli, "compute_combinatorics", summarize_and_freeze)
+            monkeypatch.setattr(linemono.cli, "compute_combinatorics", summarize_and_list)
         _assert_info_matches_oracle(document, tmp_path / "doc.json")
 
     def test_grid_inputs_of_the_benchmark(self, tmp_path, monkeypatch):

@@ -133,6 +133,29 @@ class TestZetaAtZero:
         assert all(s.euler == 1 for s in vertices)
         assert all(s.euler == -1 for s in pieces)
 
+    @given(arrangement_specs, st.lists(st.integers(1, 5), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_strata_against_the_oracle(self, specs, raw_weights):
+        """Every vertex, double points included, in point order; then each line's open piece."""
+        from linemono import WeightedArrangement
+
+        base = build_arrangement(specs)
+        g = gcd(*raw_weights[: base.d])
+        weights = [w // g for w in raw_weights[: base.d]]
+        cs = compute_combinatorics(WeightedArrangement.build(list(base.lines), weights))
+        oracle = brute_combinatorics([(*DIRECTION_POOL[i], c) for i, c in specs], weights)
+        descriptors = list(strata(cs))
+        vertices = descriptors[: len(oracle["vertices"])]
+        pieces = descriptors[len(oracle["vertices"]) :]
+        assert [(s.kind, s.weight_sum, s.multiplicity, s.euler) for s in vertices] == [
+            ("vertex", oracle["vertex_weight_sums"][point], len(incident), 1)
+            for point, incident in sorted(oracle["vertices"].items())
+        ]
+        assert [(s.kind, s.weight_sum, s.multiplicity, s.euler) for s in pieces] == [
+            ("open_line_piece", e, 1, 1 - v)
+            for e, v in zip(weights, oracle["line_vertex_counts"])
+        ]
+
     def test_json(self, triangle):
         payload = zeta_at_zero(compute_combinatorics(triangle)).to_json()
         assert payload == {"denominator": {"1": 3}, "numerator": {}}
@@ -303,7 +326,7 @@ class TestOnePassZeta:
 
     def test_weighted_grid_d200(self):
         cs = compute_combinatorics(weighted_grid(50, seed=5))
-        assert cs.d == 200 and len(cs.keys) + cs.double_points > 5000
+        assert cs.d == 200 and len(cs.multiplicities) + cs.double_points > 5000
         start = time.perf_counter()
         z = zeta_at_zero(cs)
         elapsed = time.perf_counter() - start

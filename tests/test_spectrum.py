@@ -51,7 +51,7 @@ def reference_report(cs, ls: LocalSystem) -> BoundReport:
         vertex_sum_zero=vertex_mult_zero(cs, ls),
         vertex_sum_infinity=vertex_mult_infinity(cs, ls),
         normal_crossing_shortcut=all(
-            sum(ls.residues[i] for i in incident) % ls.order for incident in cs.vertex_table[1]
+            sum(ls.residues[i] for i in lines) % ls.order for _, lines in cs.all_vertices()
         ),
     )
 
@@ -162,7 +162,7 @@ class TestCrossCheck:
         kept = [k for k, m in enumerate(cs.multiplicities) if m != 3]
         without = {
             column: tuple(map(getattr(cs, column).__getitem__, kept))
-            for column in ("keys", "incidences", "multiplicities")
+            for column in ("incidences", "multiplicities")
         }
         self._doctor(monkeypatch, "charpoly_zero_closed", replace(cs, **without))
         message = r"^vertex sum 1 != polynomial multiplicity 0$"
