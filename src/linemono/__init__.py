@@ -22,7 +22,6 @@ from .census import CensusRow, RunConfig, run_census, summarize
 from .checks import CheckResult, battery_passed, run_battery
 from .errors import (
     BadGcd,
-    BadMonodromy,
     BadOrder,
     BadResidues,
     BadWeight,
@@ -41,13 +40,7 @@ from .errors import (
 )
 from .factored import EXPAND_LIMIT, INDEX_LIMIT, CyclotomicExponents, FactoredUnityPoly
 from .invariants import InvariantReport, invariant_report
-from .localsys import (
-    BoundReport,
-    LocalSystem,
-    bound_from_summary,
-    canonical_local_system,
-    delta_f,
-)
+from .localsys import BoundReport, LocalSystem, bound_from_summary, delta_f
 from .monodromy import (
     ZetaFunction,
     charpoly_infinity,
@@ -62,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadGcd",
-    "BadMonodromy",
     "BadOrder",
     "BadResidues",
     "BadWeight",
@@ -95,7 +87,6 @@ __all__ = [
     "ZetaFunction",
     "battery_passed",
     "bound_from_summary",
-    "canonical_local_system",
     "charpoly_infinity",
     "charpoly_zero_closed",
     "charpoly_zero_from_zeta",

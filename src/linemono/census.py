@@ -106,6 +106,10 @@ class RunConfig:
     max_order: int = 6
 
     def __post_init__(self):
+        for name in ("seed", "count", "max_lines", "max_order"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ParseError(f"{name} must be an int, got {value!r}")
         if not 0 <= self.seed <= _MASK64:
             raise ParseError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.count < 1:

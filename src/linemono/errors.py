@@ -88,9 +88,5 @@ class BadResidues(InputError, ValueError):
     """A residue list is empty, non-integer, out of range or not minimal."""
 
 
-class BadMonodromy(InputError, ValueError):
-    """A monodromy list is empty or holds a value that is not a fraction in [0, 1)."""
-
-
 class InternalCheckError(Exception):
     """An internal cross-identity failed; this is a bug, not bad input."""

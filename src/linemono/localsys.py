@@ -2,41 +2,30 @@
 
 A local system on the complement assigns to the j-th line a monodromy
 exp(2*pi*i * e_j / N); it is stored as the order N with the residue vector
-e, reduced so that gcd(e_1, ..., e_d, N) = 1 (minimal order).
-`canonical_local_system` builds it from monodromy fractions e_j/N_j read
-as in the arrangement file ("p" or "p/q") or from ints and Rationals,
-never from floats.  The bound
-on dim H^1 with these coefficients is min(N0, NInfinity), the multiplicities
-of a = exp(2*pi*i/N) in the characteristic polynomials about zero and at
-infinity built with weights e; a is a root of Phi_N, so the integer N
-names it.  The polynomial multiplicities are the ground truth; the
-combinatorial vertex sums are computed alongside and cross-checked, except
-at infinity when N divides the total weight, where the vertex sum does not
-capture the (t^{d_e} - 1)^{p-2} contribution and is reported as
-unavailable instead.  `bound_spectrum` serves many orders with the same
-residues from one pair of polynomials and one pass over the vertices and
-classes, after refusing bad input; a single bound is its one-order case.
-A census draw's residues are its own weights, all 1, so the census reads
-its spectrum, refusals and cross-checks included, from the one pair of
-polynomials its battery has checked: two builds per draw, not four.
+e, reduced by `LocalSystem.create` so that gcd(e_1, ..., e_d, N) = 1
+(minimal order).  The bound on dim H^1 with these coefficients is
+min(N0, NInfinity), the multiplicities of a = exp(2*pi*i/N) in the
+characteristic polynomials about zero and at infinity built with weights e;
+a is a root of Phi_N, so the integer N names it.  The polynomial
+multiplicities are the ground truth; the combinatorial vertex sums are
+computed alongside and cross-checked, except at infinity when N divides the
+total weight, where the vertex sum does not capture the (t^{d_e} - 1)^{p-2}
+contribution and is reported as unavailable instead.  `bound_spectrum`
+serves many orders with the same residues from one pair of polynomials and
+one pass over the vertices and classes, after refusing bad input; a single
+bound is its one-order case.  A census draw's residues are its own weights,
+all 1, so the census reads its spectrum, refusals and cross-checks
+included, from the one pair of polynomials its battery has checked: two
+builds per draw, not four.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
-from numbers import Rational
+from math import gcd
 
 from .arrangement import CombinatorialSummary
-from .errors import (
-    BadMonodromy,
-    BadResidues,
-    InternalCheckError,
-    LengthMismatch,
-    ParseError,
-    TrivialMonodromy,
-)
-from .exact import parse_rational, rational_text
+from .errors import BadResidues, InternalCheckError, LengthMismatch, TrivialMonodromy
 from .factored import CyclotomicExponents, gcd_factored, require_order
 from .monodromy import charpoly_infinity, charpoly_zero_closed
 
@@ -84,41 +73,6 @@ class LocalSystem:
     def residues_gcd(self) -> int:
         """gcd of the residues alone; can exceed 1 even at minimal order."""
         return gcd(*self.residues)
-
-
-def _monodromy_fraction(value) -> tuple[int, int]:
-    """(p, q) for a string "p" or "p/q" of the file grammar, an int or a Rational."""
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ParseError as exc:
-            raise BadMonodromy(f"monodromy is not an exact fraction: {exc}") from exc
-    if isinstance(value, Rational):
-        return int(value.numerator), int(value.denominator)
-    raise BadMonodromy(f"monodromy is not an exact fraction: {value!r}")
-
-
-def canonical_local_system(monodromies) -> LocalSystem:
-    """Build the local system from monodromy fractions k_j/N_j in [0, 1).
-
-    A fraction is a string "k" or "k/N" as in the arrangement file, an int
-    or a `numbers.Rational` such as `Fraction`; anything else, a float or
-    a `Decimal` among them, is not exact (`BadMonodromy`).  The order is
-    the lcm of the denominators and each residue is the fraction scaled to
-    it; `LocalSystem.create` then reduces to the minimal order.  A
-    fraction 0 means that line's monodromy is 1, which is rejected
-    (`TrivialMonodromy`).
-    """
-    fractions = [_monodromy_fraction(m) for m in monodromies]
-    if not fractions:
-        raise BadMonodromy("need at least one monodromy")
-    for p, q in fractions:
-        if not 0 <= p < q:
-            raise BadMonodromy(f"monodromy fraction {rational_text(p, q)} outside [0, 1)")
-    if any(p == 0 for p, _ in fractions):
-        raise TrivialMonodromy("some monodromy equals 1")
-    order = lcm(*(q for _, q in fractions))
-    return LocalSystem.create(order, (p * (order // q) for p, q in fractions))
 
 
 @dataclass(frozen=True)

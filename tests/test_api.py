@@ -7,9 +7,10 @@ package namespace holds no other public name than its exports and its
 submodules, and the demos import only exports from it.  README's Library
 example runs as written, prints what its comments say, and computes the
 geometry once.  The package computes in integers only, so no module of
-it imports `fractions` or `decimal`.  A fact is set once by its owner, so
-no attribute is derived lazily.  Every `cs.NAME` that README.md or a
-demo's docstring backquotes names an attribute of the summary.
+it imports `fractions`, `decimal` or `numbers`.  A fact is set once by
+its owner, so no attribute is derived lazily.  Every `cs.NAME` that
+README.md or a demo's docstring backquotes names an attribute of the
+summary.
 """
 
 import ast
@@ -100,7 +101,7 @@ def test_readme_library_example_runs_as_written(monkeypatch):
     assert calls == [4]
 
 
-def test_no_module_imports_fractions_or_decimal():
+def test_no_module_imports_non_integer_number_types():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = []
@@ -115,7 +116,7 @@ def test_no_module_imports_fractions_or_decimal():
             found += [
                 (path.name, name)
                 for name in names
-                if name.partition(".")[0] in ("fractions", "decimal")
+                if name.partition(".")[0] in ("fractions", "decimal", "numbers")
             ]
     assert found == []
 

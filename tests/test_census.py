@@ -114,6 +114,18 @@ class TestRunConfig:
             RunConfig(seed=-1, count=10)
         with pytest.raises(ParseError):
             RunConfig(seed=1 << 64, count=10)
+        # a field that is not an int, bool included, is refused before any draw
+        for fields in (
+            {"seed": 1.5, "count": 2},
+            {"seed": True, "count": 2},
+            {"seed": "1", "count": 2},
+            {"seed": 1, "count": 2.0},
+            {"seed": 1, "count": True},
+            {"seed": 1, "count": 2, "max_lines": 6.0},
+            {"seed": 1, "count": 2, "max_order": "4"},
+        ):
+            with pytest.raises(ParseError):
+                RunConfig(**fields)
 
 
 class TestCensus:

@@ -1,21 +1,16 @@
 """Local systems, eigenvalue counting at vertices, and the twisted bounds."""
 
-from decimal import Decimal
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linemono import (
-    BadMonodromy,
     BadOrder,
     BadResidues,
     LengthMismatch,
     LocalSystem,
     TrivialMonodromy,
     bound_from_summary,
-    canonical_local_system,
     charpoly_infinity,
     charpoly_zero_closed,
     compute_combinatorics,
@@ -26,35 +21,16 @@ from _oracles import vertex_mult_infinity, vertex_mult_zero
 from test_arrangement import arrangement_specs, build_arrangement
 
 
-class TestCanonicalLocalSystem:
-    def test_lcm_and_scaling(self):
-        ls = canonical_local_system([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
-        assert ls.order == 4
-        assert ls.residues == (1, 1, 2)
-
-    def test_common_factor_in_residues_is_allowed(self):
-        ls = canonical_local_system([Fraction(2, 3), Fraction(2, 3)])
-        assert ls.order == 3
-        assert ls.residues == (2, 2)
-        assert ls.residues_gcd == 2
-
-    def test_mixed_denominators(self):
-        ls = canonical_local_system([Fraction(1, 2), Fraction(1, 3)])
-        assert ls.order == 6
-        assert ls.residues == (3, 2)
-
-    def test_strict_mode_rejects_trivial(self):
-        with pytest.raises(TrivialMonodromy):
-            canonical_local_system([Fraction(0), Fraction(1, 2)])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_local_system([Fraction(3, 2)])
-
+class TestLocalSystem:
     def test_create_reduces_to_minimal_order(self):
         ls = LocalSystem.create(6, [2, 4])
         assert ls.order == 3
         assert ls.residues == (1, 2)
+        # a factor shared by the residues but not the order stays
+        ls = LocalSystem.create(3, [2, 2])
+        assert ls.order == 3
+        assert ls.residues == (2, 2)
+        assert ls.residues_gcd == 2
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_bad_order_is_typed(self, order):
@@ -72,7 +48,7 @@ class TestCanonicalLocalSystem:
 
 
 class TestTypedErrors:
-    """Bad residues and monodromies raise InputErrors that stay ValueErrors."""
+    """Bad residues raise InputErrors that stay ValueErrors."""
 
     @pytest.mark.parametrize(
         "build",
@@ -91,31 +67,6 @@ class TestTypedErrors:
             build()
         assert isinstance(info.value, ValueError)
         assert info.value.code == "BadResidues"
-
-    @pytest.mark.parametrize(
-        "monodromies",
-        [
-            [],
-            ["3/2"],
-            [Fraction(-1, 3)],
-            [1],
-            ["x"],
-            ["1/0"],
-            [0.5],
-            [0.1, 0.5],
-            # the arrangement file's rational grammar, not Fraction's
-            ["0.5"],
-            ["1e-1"],
-            [" 1/3 "],
-            ["\u0661/\u0663"],  # Arabic-Indic digits
-            [Decimal("0.25")],
-        ],
-    )
-    def test_bad_monodromy(self, monodromies):
-        with pytest.raises(BadMonodromy) as info:
-            canonical_local_system(monodromies)
-        assert isinstance(info.value, ValueError)
-        assert info.value.code == "BadMonodromy"
 
 
 class TestVertexMultZero:
